@@ -13,7 +13,8 @@ writes sampled records to a CSV file whose header is
 ``step,outcome,channel,prob,weight,state_re...,state_im...``.
 
 Exit codes: 0 when every check passed, 1 when a check failed, 2 on a parse
-or validation problem (including a command applied to the wrong payload).
+or validation problem (including a command applied to the wrong payload) or
+an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -64,13 +66,14 @@ from .stochrep import (
     qsr_instrument,
     sr_invariants,
 )
-from .qsa import MeasurementModel, output_law, run_trajectory, verify_model
+from .qsa import MeasurementModel, ShotBatch, output_law, sample_batch, verify_model
 from . import __version__
 
 __all__ = [
     "ParseError",
     "ValidationError",
     "IncompatiblePayload",
+    "OutputError",
     "Scenario",
     "Report",
     "CheckResult",
@@ -106,23 +109,36 @@ class IncompatiblePayload(ValueError):
     """The requested command does not apply to the scenario's payload kind."""
 
 
+class OutputError(ValueError):
+    """An output file could not be written; the message names the path."""
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
 
-def _entry(x, path: str) -> complex:
+def _number(x, path: str) -> float:
+    """A finite JSON number; booleans, NaN and the infinities are refused."""
     if isinstance(x, bool):
         raise ParseError(f"{path}: expected a number, got a boolean")
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if (
-        isinstance(x, list)
-        and len(x) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-    ):
-        return complex(x[0], x[1])
-    raise ParseError(f"{path}: expected a number or [re, im] pair")
+    if not isinstance(x, (int, float)):
+        raise ParseError(f"{path}: expected a number")
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: expected a finite number, got {x!r}")
+    return value
+
+
+def _entry(x, path: str) -> complex:
+    if isinstance(x, list):
+        if len(x) != 2:
+            raise ParseError(f"{path}: expected a number or [re, im] pair")
+        return complex(_number(x[0], f"{path}[0]"), _number(x[1], f"{path}[1]"))
+    return complex(_number(x, path))
 
 
 def _array(x, path: str, depth: int) -> np.ndarray:
@@ -231,17 +247,10 @@ def _parse_beta(obj, path: str) -> tuple[tuple[float, int], ...]:
         raise ParseError(f"{path}: expected a non-empty array of weights")
     out = []
     for i, item in enumerate(obj):
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            out.append((float(item), 1))
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and isinstance(item[0], (int, float))
-            and isinstance(item[1], int)
-            and not isinstance(item[0], bool)
-            and not isinstance(item[1], bool)
-        ):
-            out.append((float(item[0]), int(item[1])))
+        if not isinstance(item, list):
+            out.append((_number(item, f"{path}[{i}]"), 1))
+        elif len(item) == 2 and isinstance(item[1], int) and not isinstance(item[1], bool):
+            out.append((_number(item[0], f"{path}[{i}][0]"), item[1]))
         else:
             raise ParseError(
                 f"{path}[{i}]: expected a weight or a [weight, multiplicity] pair"
@@ -346,26 +355,22 @@ def parse_scenario_text(text: str) -> Scenario:
         unknown = set(mobj) - set(space.labels)
         if unknown:
             raise ParseError(f"measure: unknown outcome labels {sorted(unknown)}")
-        for lab, wv in mobj.items():
-            if not isinstance(wv, (int, float)) or isinstance(wv, bool):
-                raise ParseError(f"measure.{lab}: expected a number")
+        weights = {lab: _number(wv, f"measure.{lab}") for lab, wv in mobj.items()}
         try:
-            measure = FiniteMeasure.from_dict(space, mobj)
+            measure = FiniteMeasure.from_dict(space, weights)
         except ValueError as exc:
             raise ValidationError(f"measure: {exc}") from exc
     tol = DEFAULT_TOL
     cluster_tol = CLUSTER_TOL
     if "tol" in raw:
         tobj = raw["tol"]
-        if isinstance(tobj, (int, float)) and not isinstance(tobj, bool):
-            tol = float(tobj)
-        elif isinstance(tobj, dict):
+        if isinstance(tobj, dict):
             if "default" in tobj:
-                tol = float(tobj["default"])
+                tol = _number(tobj["default"], "tol.default")
             if "cluster" in tobj:
-                cluster_tol = float(tobj["cluster"])
+                cluster_tol = _number(tobj["cluster"], "tol.cluster")
         else:
-            raise ParseError("tol: expected a number or an object")
+            tol = _number(tobj, "tol")
         if tol <= 0 or cluster_tol <= 0:
             raise ParseError("tol: tolerances must be positive")
     present = [k for k in PAYLOAD_KEYS if k in raw]
@@ -722,24 +727,45 @@ def _cmd_von_neumann(scenario: Scenario, options: dict) -> Report:
     return Report("von-neumann", checks, tables, _provenance(scenario))
 
 
-def _write_records(path: str, trajectories, dim_s: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        head = ["step", "outcome", "channel", "prob", "weight"]
-        head += [f"state_re_{i}" for i in range(dim_s)]
-        head += [f"state_im_{i}" for i in range(dim_s)]
-        fh.write(",".join(head) + "\n")
-        for traj in trajectories:
-            for step, shot in enumerate(traj.shots):
-                row = [
-                    str(step),
-                    shot.outcome,
-                    str(shot.channel),
-                    repr(float(shot.probability)),
-                    repr(float(shot.weight)),
-                ]
-                row += [repr(float(x)) for x in shot.posterior.real]
-                row += [repr(float(x)) for x in shot.posterior.imag]
-                fh.write(",".join(row) + "\n")
+# Sampler work per chunk, in amplitude entries (trajectories x steps x
+# channels x atoms x system dim).  simulate samples and writes as many
+# trajectories at a time as fit, so its memory does not grow with --shots
+# or with the model size; a chunk has at least one trajectory.
+SIMULATE_CHUNK_CELLS = 1 << 15
+
+
+def _chunk_size(model: MeasurementModel, steps: int) -> int:
+    """Trajectories per sampler call for ``steps``-step trajectories."""
+    return max(1, SIMULATE_CHUNK_CELLS // (model.qsr.pi[..., 0].size * steps))
+
+
+def _record_header(dim_s: int) -> str:
+    head = ["step", "outcome", "channel", "prob", "weight"]
+    head += [f"state_re_{i}" for i in range(dim_s)]
+    head += [f"state_im_{i}" for i in range(dim_s)]
+    return ",".join(head) + "\n"
+
+
+def _record_rows(batch: ShotBatch) -> str:
+    """Record rows of a batch, trajectory by trajectory, floats as ``repr``."""
+    count, steps = batch.outcome.shape
+    numbers = np.concatenate(
+        (
+            batch.probability[..., None],
+            batch.weight[..., None],
+            batch.posterior.real,
+            batch.posterior.imag,
+        ),
+        axis=-1,
+    ).reshape(count * steps, -1)
+    step_text = [str(t) for t in range(steps)] * count
+    labels = [batch.labels[a] for a in batch.outcome.ravel().tolist()]
+    return "".join(
+        f"{t},{lab},{c},{','.join(map(repr, row))}\n"
+        for t, lab, c, row in zip(
+            step_text, labels, batch.channel.ravel().tolist(), numbers.tolist()
+        )
+    )
 
 
 def _cmd_simulate(scenario: Scenario, options: dict) -> Report:
@@ -752,17 +778,23 @@ def _cmd_simulate(scenario: Scenario, options: dict) -> Report:
     out_path = options.get("output") or "records.csv"
     if shots < 1 or steps < 1:
         raise IncompatiblePayload("simulate needs shots >= 1 and steps >= 1")
+    qsr = model.qsr
+    chunk = _chunk_size(model, steps)
     rng = np.random.default_rng(seed)
-    trajectories = [run_trajectory(model, steps, rng) for _ in range(shots)]
-    _write_records(out_path, trajectories, scenario.dim_s)
-    law = output_law(model)
-    analytic = law.total
-    counts = {lab: 0 for lab in scenario.space.labels}
-    channel_counts: dict[int, int] = {}
-    for traj in trajectories:
-        first = traj.shots[0]
-        counts[first.outcome] += 1
-        channel_counts[first.channel] = channel_counts.get(first.channel, 0) + 1
+    atom_counts = np.zeros(qsr.space.size, dtype=np.int64)
+    channel_counts = np.zeros(qsr.channel_count, dtype=np.int64)
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_record_header(scenario.dim_s))
+            for start in range(0, shots, chunk):
+                batch = sample_batch(model, min(chunk, shots - start), steps, rng)
+                fh.write(_record_rows(batch))
+                atom_counts += np.bincount(batch.outcome[:, 0], minlength=qsr.space.size)
+                channel_counts += np.bincount(batch.channel[:, 0], minlength=qsr.channel_count)
+    except OSError as exc:
+        raise OutputError(f"cannot write records to {out_path}: {exc}") from exc
+    analytic = output_law(model).total
+    counts = dict(zip(scenario.space.labels, atom_counts.tolist()))
     worst_sigma = 0.0
     for lab in scenario.space.labels:
         p = analytic.weight(lab)
@@ -781,7 +813,9 @@ def _cmd_simulate(scenario: Scenario, options: dict) -> Report:
     tables = {
         "empirical": {lab: counts[lab] / shots for lab in scenario.space.labels},
         "analytic": {lab: analytic.weight(lab) for lab in scenario.space.labels},
-        "channel_frequencies": {str(k): v / shots for k, v in sorted(channel_counts.items())},
+        "channel_frequencies": {
+            str(k): n / shots for k, n in enumerate(channel_counts.tolist()) if n
+        },
         "records": out_path,
         "shots": shots,
         "steps": steps,
@@ -838,14 +872,15 @@ def execute(scenario: Scenario, command: str, options: Mapping | None = None) ->
 
     Operation-level failures (an invalid family handed to a constructor, an
     unsatisfiable request) are rendered as failing checks, not exceptions;
-    only payload/command mismatches raise :class:`IncompatiblePayload`.
+    payload/command mismatches raise :class:`IncompatiblePayload` and an
+    unwritable record file raises :class:`OutputError`.
     """
     if command not in _HANDLERS:
         raise IncompatiblePayload(f"unknown command {command!r}")
     opts = dict(options or {})
     try:
         return _HANDLERS[command](scenario, opts)
-    except (ParseError, ValidationError, IncompatiblePayload):
+    except (ParseError, ValidationError, IncompatiblePayload, OutputError):
         raise
     except (ValueError, KeyError) as exc:
         check = CheckResult("operation", False, None, f"{type(exc).__name__}: {exc}")
@@ -885,7 +920,7 @@ def main(argv=None) -> int:
             "mode": getattr(args, "mode", None),
         }
         report = execute(scenario, args.command, options)
-    except (ParseError, ValidationError, IncompatiblePayload) as exc:
+    except (ParseError, ValidationError, IncompatiblePayload, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.format == "json" else report.to_csv())

@@ -11,13 +11,25 @@ gives discrete-time posterior pure-state trajectories.
 Sampling contract: one uniform draw in [0, 1) per shot, inverse-CDF over
 atoms in declared outcome order and channels in index order within each
 atom, selecting the first cell whose cumulative sum reaches the draw.
-Cells with mass at or below ``ZERO_PROBABILITY`` are unsampleable.  Given
+Cells with mass at or below ``ZERO_PROBABILITY`` are unsampleable; a draw
+beyond the total sampleable mass takes the last sampleable cell.  Given
 equal seeds the produced records are identical bit for bit.
+
+Two kernels implement the contract.  :func:`sample_shot` and
+:func:`run_trajectory` advance one trajectory; :func:`sample_batch` advances
+many at once, one NumPy operation per step for the whole batch, and draws
+its uniforms trajectory-major, so its draw stream and every field it returns
+equal those of repeated :func:`run_trajectory` calls on the same generator.
+The ``simulate`` command streams fixed-size batches to its record file, so
+its memory does not grow with the number of shots and its records are the
+bytes the one-trajectory kernel would give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -34,13 +46,14 @@ from .qcore import (
     _freeze,
     max_abs,
 )
-from .instrument import posterior_family, pov_measure, predual_apply
+from .instrument import pov_measure, predual_apply
 from .stochrep import QuantumStochasticRep, qsr_instrument
 
 __all__ = [
     "MeasurementModel",
     "OutputLaw",
     "ShotResult",
+    "ShotBatch",
     "Trajectory",
     "ModelReport",
     "output_law",
@@ -49,6 +62,7 @@ __all__ = [
     "posterior_mixture",
     "sample_shot",
     "run_trajectory",
+    "sample_batch",
     "verify_model",
 ]
 
@@ -99,6 +113,22 @@ class MeasurementModel:
             return DensityOperator.pure(self.initial)
         return self.initial
 
+    @cached_property
+    def _tables(self) -> "_SamplingTables":
+        """Sampler inputs, built on the first shot so models never sampled pay nothing."""
+        qsr = self.qsr
+        mix = np.array([a * k for a, k in qsr.profile])[:, None]
+        return _SamplingTables(qsr.pi, mix, qsr.channel_nu, qsr.space.labels, qsr.channel_count)
+
+
+@dataclass(frozen=True)
+class _SamplingTables:
+    pi: np.ndarray  # (C, M, d, d)
+    mix: np.ndarray  # (C, 1): alpha_i * k_i
+    nu: np.ndarray  # (C, M)
+    labels: tuple[str, ...]
+    channels: int
+
 
 @dataclass(frozen=True, eq=False)
 class OutputLaw:
@@ -136,11 +166,31 @@ class ShotResult:
 
     def __post_init__(self):
         v = _as_vector(self.posterior, "posterior state")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError("posterior state must be normalized")
-        if not -1e-12 <= self.weight <= 1.0 + 1e-12:
-            raise ValueError(f"channel weight {self.weight} outside [0, 1]")
+        _check_norm(float(np.linalg.norm(v)))
+        _check_weight(self.weight)
         object.__setattr__(self, "posterior", _freeze(v))
+
+    @classmethod
+    def _trusted(
+        cls, outcome: str, channel: int, posterior: np.ndarray, probability: float, weight: float
+    ) -> "ShotResult":
+        """A result from the sampler, which has already run the checks."""
+        self = object.__new__(cls)
+        self.__dict__.update(
+            outcome=outcome, channel=channel, posterior=_freeze(posterior),
+            probability=probability, weight=weight,
+        )
+        return self
+
+
+def _check_norm(norm: float) -> None:
+    if not abs(norm - 1.0) <= 1e-8:
+        raise ValueError("posterior state must be normalized")
+
+
+def _check_weight(weight: float) -> None:
+    if not -1e-12 <= weight <= 1.0 + 1e-12:
+        raise ValueError(f"channel weight {weight} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +210,22 @@ class Trajectory:
 
     def outcomes(self) -> tuple[str, ...]:
         return tuple(s.outcome for s in self.shots)
+
+
+@dataclass(frozen=True, eq=False)
+class ShotBatch:
+    """Trajectories sampled together, one array per :class:`ShotResult` field.
+
+    Index ``[b, t]`` is step ``t`` of trajectory ``b``.  ``outcome`` holds atom
+    indices into ``labels``; ``posterior`` has a trailing system axis.
+    """
+
+    labels: tuple[str, ...]
+    outcome: np.ndarray  # (B, T) int
+    channel: np.ndarray  # (B, T) int
+    probability: np.ndarray  # (B, T)
+    weight: np.ndarray  # (B, T)
+    posterior: np.ndarray  # (B, T, d) complex
 
 
 def _channel_masses(qsr: QuantumStochasticRep, model_state) -> np.ndarray:
@@ -253,30 +319,51 @@ def posterior_mixture(
     return DensityOperator(acc / p)
 
 
-def _pick(flat: np.ndarray, u: float) -> int:
-    """First sampleable cell whose cumulative mass reaches the draw."""
-    pos = np.flatnonzero(flat > ZERO_PROBABILITY)
-    cs = np.cumsum(flat[pos])
-    k = int(np.searchsorted(cs, u, side="left"))
-    if k >= len(pos):
-        k = len(pos) - 1
-    return int(pos[k])
+def _pick(flat, u: float) -> int:
+    """First sampleable cell whose cumulative mass reaches the draw.
+
+    ``flat`` is a sequence of cell masses.  Cells at or below
+    ``ZERO_PROBABILITY`` are skipped; past the total sampleable mass the last
+    sampleable cell is taken.  The running sum adds the sampleable masses in
+    order, as ``np.cumsum`` over them would, so the cell is the one
+    ``np.searchsorted(cumsum, u, side="left")`` selects.
+    """
+    acc = 0.0
+    last = -1
+    for k, m in enumerate(flat):
+        if m > ZERO_PROBABILITY:
+            acc += m
+            last = k
+            if acc >= u:
+                return k
+    if last < 0:
+        raise ZeroProbabilityEvent("no outcome cell carries probability")
+    return last
 
 
-def _shot(qsr: QuantumStochasticRep, mix: np.ndarray, psi: np.ndarray, rng) -> tuple[ShotResult, np.ndarray]:
-    amp = np.einsum("cwab,b->cwa", qsr.pi, psi)
+def _pick_rows(flat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_pick` applied to each row of ``flat`` with its own draw."""
+    live = flat > ZERO_PROBABILITY
+    if not live.any(axis=1).all():
+        raise ZeroProbabilityEvent("no outcome cell carries probability")
+    # Dead cells add 0.0, so the sums at live cells are _pick's running sums.
+    cum = np.cumsum(np.where(live, flat, 0.0), axis=1)
+    hit = live & (cum >= u[:, None])
+    last = flat.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
+
+
+def _shot(t: _SamplingTables, psi: np.ndarray, u: float) -> ShotResult:
+    amp = np.einsum("cwab,b->cwa", t.pi, psi)
     sq = np.einsum("cwa,cwa->cw", amp.conj(), amp).real
-    joint = mix[:, None] * sq * qsr.channel_nu  # (C, M)
-    flat = joint.T.reshape(-1)  # atom-major, channel minor
-    u = rng.random()
-    idx = _pick(flat, u)
-    a, c = divmod(idx, joint.shape[0])
+    joint = t.mix * sq * t.nu  # (C, M)
+    a, c = divmod(_pick(joint.T.ravel().tolist(), u), t.channels)  # atom-major, channel minor
     prob = float(joint[:, a].sum())
     post = amp[c, a] / np.sqrt(sq[c, a])
-    result = ShotResult(
-        qsr.space.labels[a], int(c), post, prob, float(joint[c, a] / prob)
-    )
-    return result, post
+    weight = float(joint[c, a] / prob)
+    _check_norm(math.sqrt(np.vdot(post, post).real))
+    _check_weight(weight)
+    return ShotResult._trusted(t.labels[a], c, post, prob, weight)
 
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
@@ -293,9 +380,7 @@ def sample_shot(model: MeasurementModel, rng) -> ShotResult:
     uniform variate is consumed per call.
     """
     gen, _ = _as_rng(rng)
-    mix = np.array([a * k for a, k in model.qsr.profile])
-    result, _ = _shot(model.qsr, mix, model.pure_state, gen)
-    return result
+    return _shot(model._tables, model.pure_state, gen.random())
 
 
 def run_trajectory(model: MeasurementModel, steps: int, rng) -> Trajectory:
@@ -303,13 +388,59 @@ def run_trajectory(model: MeasurementModel, steps: int, rng) -> Trajectory:
     if steps < 1:
         raise ValueError("a trajectory needs at least one step")
     gen, seed = _as_rng(rng)
-    mix = np.array([a * k for a, k in model.qsr.profile])
+    t = model._tables
     psi = model.pure_state
     shots = []
     for _ in range(steps):
-        result, psi = _shot(model.qsr, mix, psi, gen)
-        shots.append(result)
+        shot = _shot(t, psi, gen.random())
+        shots.append(shot)
+        psi = shot.posterior
     return Trajectory(tuple(shots), model, seed)
+
+
+def sample_batch(model: MeasurementModel, trajectories: int, steps: int, rng) -> ShotBatch:
+    """Sample ``trajectories`` trajectories of ``steps`` steps together.
+
+    Draws ``rng.random((trajectories, steps))``, the stream that as many
+    :func:`run_trajectory` calls on the same generator consume, and returns
+    fields equal to theirs bit for bit.
+    """
+    if steps < 1:
+        raise ValueError("a trajectory needs at least one step")
+    if trajectories < 1:
+        raise ValueError("a batch needs at least one trajectory")
+    gen, _ = _as_rng(rng)
+    t = model._tables
+    draws = gen.random((trajectories, steps))
+    psi = np.broadcast_to(model.pure_state, (trajectories, model.qsr.dim_s))
+    rows = np.arange(trajectories)
+    outcome = np.empty((trajectories, steps), dtype=np.intp)
+    channel = np.empty_like(outcome)
+    probability = np.empty((trajectories, steps))
+    weight = np.empty_like(probability)
+    posterior = np.empty((trajectories, steps, psi.shape[1]), dtype=complex)
+    for step in range(steps):
+        amp = np.einsum("cwab,nb->ncwa", t.pi, psi)
+        sq = np.einsum("ncwa,ncwa->ncw", amp.conj(), amp).real
+        joint = t.mix * sq * t.nu  # (B, C, M)
+        flat = joint.transpose(0, 2, 1).reshape(trajectories, -1)
+        a, c = np.divmod(_pick_rows(flat, draws[:, step]), t.channels)
+        prob = joint[rows, :, a].sum(axis=1)
+        psi = amp[rows, c, a] / np.sqrt(sq[rows, c, a])[:, None]
+        wgt = joint[rows, c, a] / prob
+        # The extremes stand for the batch; argmax, min and max pick up a NaN.
+        norm = np.sqrt(np.einsum("na,na->n", psi.conj(), psi).real)
+        _check_norm(float(norm[np.argmax(np.abs(norm - 1.0))]))
+        _check_weight(float(wgt.min()))
+        _check_weight(float(wgt.max()))
+        outcome[:, step] = a
+        channel[:, step] = c
+        probability[:, step] = prob
+        weight[:, step] = wgt
+        posterior[:, step] = psi
+    for arr in (outcome, channel, probability, weight, posterior):
+        _freeze(arr)
+    return ShotBatch(t.labels, outcome, channel, probability, weight, posterior)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qmeasure.cli import (
     parse_scenario,
     parse_scenario_text,
     serialize_scenario,
+    _chunk_size,
 )
 from conftest import AD_0, AD_1, HADAMARD
 
@@ -188,6 +190,34 @@ class TestParsing:
         sc = parse_scenario_text(json.dumps(body))
         assert sc.tol == 1e-7
         assert sc.cluster_tol == 1e-6
+
+    @pytest.mark.parametrize(
+        "table, bad", [("w", float("nan")), ("q", float("inf")), ("q", float("-inf"))]
+    )
+    def test_non_finite_table_entry(self, table, bad):
+        body = model_scenario()
+        body["model"][table][0][0][0][0] = [bad, 0.0] if table == "q" else [[[bad, 0.0]] * 2] * 2
+        with pytest.raises(ParseError, match=f"model.{table}.*finite"):
+            parse_scenario_text(json.dumps(body))
+
+    def test_non_finite_entry_exits_two(self, tmp_path, capsys):
+        body = model_scenario()
+        body["model"]["w"][0][0][0][0][0][0] = [float("nan"), 0.0]
+        path = write(tmp_path, "nan.json", body)
+        assert main(["verify", path]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_tolerance_default_must_be_a_number(self):
+        body = ad_scenario()
+        body["tol"] = {"default": "x"}
+        with pytest.raises(ParseError, match="tol.default"):
+            parse_scenario_text(json.dumps(body))
+
+    def test_tolerance_default_rejects_booleans(self):
+        body = ad_scenario()
+        body["tol"] = {"default": True}
+        with pytest.raises(ParseError, match="tol.default.*boolean"):
+            parse_scenario_text(json.dumps(body))
 
     def test_malformed_json_names_position(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -531,6 +561,37 @@ class TestMain:
         assert code == 0
         assert body["checks"][0]["name"] == "within-3-sigma"
         assert body["tables"]["analytic"]["a"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["--shots", "1000", "--steps", "1", "--seed", "7"],
+             "999c12a5228196661fe03882064d8fb222551dfed1dfdb5170543ec27768bdc6"),
+            (["--shots", "300", "--steps", "10", "--seed", "7"],
+             "343e257e5eb4761e43bcc759991f4dc9377b771c1e6bc4170dfd0458596448c0"),
+            (["--shots", "5000", "--steps", "3", "--seed", "2024"],
+             "34f95d646004d8916a409c1b07b04fdbd6b21ad8dd618075a04f0ba82eca5a9e"),
+        ],
+    )
+    def test_simulate_records_are_byte_stable(self, tmp_path, capsys, args, digest):
+        # Digests of the files written by the one-trajectory-at-a-time sampler.
+        scenarios = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+        scenario = scenarios / "two_channel_model.json"
+        model = parse_scenario(str(scenario)).payload
+        # The 5000-shot case spans more than one sampler chunk.
+        assert _chunk_size(model, 3) < 5000
+        out = tmp_path / "records.csv"
+        assert main(["simulate", str(scenario), "--output", str(out)] + args) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_simulate_unwritable_output_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, "model.json", model_scenario())
+        out = tmp_path / "absent-dir" / "records.csv"
+        assert main(["simulate", path, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write records")
+        assert captured.out == ""
 
     def test_verify_cli(self, tmp_path, capsys):
         path = write(tmp_path, "model.json", model_scenario())

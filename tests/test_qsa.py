@@ -23,10 +23,14 @@ from qmeasure import (
     posterior_pure,
     qsr_instrument,
     run_trajectory,
+    sample_batch,
     sample_shot,
     sequential_compose,
     verify_model,
+    von_neumann_instrument,
 )
+from qmeasure.qcore import ZERO_PROBABILITY
+from qmeasure.qsa import _pick, _pick_rows
 from conftest import HADAMARD, PSI_PLUS, rand_density, rand_state, rand_unitary
 
 
@@ -357,6 +361,142 @@ class TestRunTrajectory:
             assert step.outcome == shot.outcome
             assert np.array_equal(step.posterior, shot.posterior)
             state = step.posterior
+
+
+def random_channel_model(rng, channels, dim):
+    """A from_channel_operators model with random disjoint channel supports.
+
+    Every atom belongs to one channel, so each atom has zero-mass cells for
+    all the other channels.
+    """
+    atoms = channels + int(rng.integers(0, 3))
+    space = OutcomeSpace(tuple(f"w{j}" for j in range(atoms)))
+    owner = np.concatenate([np.arange(channels), rng.integers(0, channels, atoms - channels)])
+    rng.shuffle(owner)
+    nu_w = rng.random(atoms) + 0.1
+    nu_w /= nu_w.sum()
+    f = np.zeros((channels, atoms))
+    for i in range(channels):
+        mine = owner == i
+        raw = rng.random(mine.sum()) + 0.1
+        f[i, mine] = raw / np.sqrt((raw**2 * nu_w[mine]).sum())
+    beta = rng.random(channels) + 0.1
+    beta /= beta.sum()
+    pi = [[rand_unitary(dim, rng) for _ in range(atoms)] for _ in range(channels)]
+    qsr = factorize(from_channel_operators(beta, pi, f, space, FiniteMeasure(space, tuple(nu_w))))
+    return MeasurementModel(qsr, rand_state(dim, rng))
+
+
+def assert_batch_matches_trajectories(model, count, steps, seed):
+    batch = sample_batch(model, count, steps, np.random.default_rng(seed))
+    gen = np.random.default_rng(seed)
+    for b in range(count):
+        traj = run_trajectory(model, steps, gen)
+        for t, shot in enumerate(traj.shots):
+            assert batch.labels[batch.outcome[b, t]] == shot.outcome
+            assert batch.channel[b, t] == shot.channel
+            assert batch.probability[b, t] == shot.probability
+            assert batch.weight[b, t] == shot.weight
+            assert np.array_equal(batch.posterior[b, t], shot.posterior)
+    # both consumed exactly count * steps uniforms
+    ref = np.random.default_rng(seed)
+    ref.random(count * steps)
+    assert gen.random() == ref.random()
+
+
+class TestSampleBatch:
+    def test_equals_run_trajectory_on_random_channel_models(self, rng):
+        for trial in range(25):
+            channels = int(rng.integers(1, 11))
+            dim = int(rng.integers(1, 5))
+            model = random_channel_model(rng, channels, dim)
+            assert_batch_matches_trajectories(model, 40, 3, trial)
+
+    def test_equals_run_trajectory_on_dilations_with_dead_cells(self, fix_ad, rng):
+        p = [np.diag(row).astype(complex) for row in np.eye(3)]
+        vn3 = von_neumann_instrument([("x", p[0]), ("y", p[1]), ("z", p[2])])
+        cases = [
+            model_of(fix_ad, KET0),  # no decay: atom "1" has no mass
+            model_of(fix_ad, KET1),
+            model_of(vn3, np.array([0, 1, 0], dtype=complex)),  # mass on the middle atom only
+            model_of(vn3, np.array([0, 1, 1], dtype=complex) / np.sqrt(2)),  # leading dead atom
+            model_of(vn3, np.array([1, 1, 0], dtype=complex) / np.sqrt(2)),  # trailing dead atom
+            model_of(vn3, rand_state(3, rng)),
+        ]
+        for seed, model in enumerate(cases):
+            assert_batch_matches_trajectories(model, 60, 4, seed)
+
+    def test_integer_seed_and_shapes(self, fix_ad):
+        m = model_of(fix_ad, KET1)
+        a = sample_batch(m, 5, 3, 11)
+        b = sample_batch(m, 5, 3, np.random.default_rng(11))
+        assert a.outcome.shape == a.channel.shape == a.probability.shape == (5, 3)
+        assert a.posterior.shape == (5, 3, 2)
+        assert np.array_equal(a.posterior, b.posterior)
+        assert not a.posterior.flags.writeable
+
+    def test_needs_positive_sizes(self, fix_z):
+        m = model_of(fix_z, PSI_PLUS)
+        with pytest.raises(ValueError, match="step"):
+            sample_batch(m, 3, 0, 1)
+        with pytest.raises(ValueError, match="trajectory"):
+            sample_batch(m, 0, 2, 1)
+
+    def test_sampling_tables_are_built_on_first_shot(self, fix_ad):
+        m = model_of(fix_ad, KET1)
+        output_law(m)
+        verify_model(m)
+        assert "_tables" not in vars(m)
+        sample_shot(m, 0)
+        assert "_tables" in vars(m)
+
+
+def contract_pick(flat, u):
+    """The sampling contract written out with NumPy, as the module docstring states it."""
+    pos = np.flatnonzero(flat > ZERO_PROBABILITY)
+    k = int(np.searchsorted(np.cumsum(flat[pos]), u, side="left"))
+    return int(pos[min(k, len(pos) - 1)])
+
+
+class TestPick:
+    ROWS = np.array(
+        [
+            [0.0, 0.0, 0.25, 0.25, 0.5],  # leading dead cells
+            [0.25, 0.0, 1e-13, 0.25, 0.5],  # interior dead cells, one just below the cut
+            [0.5, 0.25, 0.25, 0.0, 0.0],  # trailing dead cells
+            [0.0, 0.3, 0.0, 0.3, 0.0],  # live mass 0.6 < 1: draws past it clamp
+            [ZERO_PROBABILITY, 0.1, 0.2, ZERO_PROBABILITY, 0.7],  # at the cut is dead
+            [0.1, 0.2, 0.3, 0.4, 0.0],
+        ]
+    )
+    DRAWS = [0.0, 1e-300, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 0.999999, np.nextafter(1.0, 0.0)]
+
+    def test_rows_match_scalar_pick_and_contract(self):
+        for u in self.DRAWS:
+            want = [_pick(row.tolist(), u) for row in self.ROWS]
+            assert want == [contract_pick(row, u) for row in self.ROWS]
+            got = _pick_rows(self.ROWS, np.full(len(self.ROWS), u))
+            assert got.tolist() == want
+
+    def test_rows_with_mixed_draws(self, rng):
+        flat = rng.random((500, 7)) * (rng.random((500, 7)) < 0.6)
+        flat[:, 3] += 0.01  # every row has a live cell
+        u = rng.random(500) * 1.2  # some draws land past the live mass
+        u[:5] = 0.0
+        want = [_pick(row.tolist(), x) for row, x in zip(flat, u)]
+        assert want == [contract_pick(row, x) for row, x in zip(flat, u)]
+        assert _pick_rows(flat, u).tolist() == want
+
+    def test_clamp_to_last_live_cell(self):
+        row = np.array([0.0, 0.3, 0.0, 0.3, 0.0])
+        assert _pick(row.tolist(), 0.9) == 3
+        assert _pick_rows(row[None, :], np.array([0.9])).tolist() == [3]
+
+    def test_no_live_cell_is_a_zero_probability_event(self):
+        with pytest.raises(ZeroProbabilityEvent):
+            _pick([0.0, ZERO_PROBABILITY], 0.5)
+        with pytest.raises(ZeroProbabilityEvent):
+            _pick_rows(np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([0.1, 0.1]))
 
 
 # ---------------------------------------------------------------------------
