@@ -5,9 +5,8 @@ import numpy as np
 from qmeasure import (
     KrausInstrument,
     OutcomeSpace,
-    canonicalize,
     dilate,
-    extract_vq,
+    from_realization,
     instrument_of,
     instruments_equal,
     invariants,
@@ -25,13 +24,12 @@ def main():
         inv = invariants(g)
         print(f"mode {mode}: ancilla dim {g.dim_k}, "
               f"round trip {instruments_equal(instrument_of(g), t)}")
-        print(f"  weights (alpha, k): {inv.eigenvalue_profile}")
+        print(f"  weights (alpha, k): {inv.beta_profile}")
         print(f"  total measure: "
               + ", ".join(f"{l}={v:.4f}" for l, v in zip(inv.space.labels, inv.total_nu)))
 
-        fam = extract_vq(g, canonicalize(g))
-        print(f"  table deviations: operator {fam.orthonormality_deviation():.2e}, "
-              f"scalar {fam.scalar_orthonormality_deviation():.2e}")
+        scalar, operator = from_realization(g).orthonormality_deviations()
+        print(f"  table deviations: operator {operator:.2e}, scalar {scalar:.2e}")
 
     # the minimal dilation concentrates the pointer, the spread one weights
     # every atom; both induce the identical instrument

@@ -52,34 +52,31 @@ from .instrument import (
     von_neumann_instrument,
 )
 from .realization import (
-    CanonicalForm,
     DimensionTooSmall,
-    InvariantComparison,
-    InvariantSet,
     PointerOverlap,
     StatisticalRealization,
-    UnsupportedMeasure,
-    VQFamily,
-    WeightMismatch,
     apply_unitary_equivalence,
-    canonicalize,
-    compare_invariants,
     dilate,
-    extract_vq,
     indirect_realization,
     instrument_of,
-    invariant_sets_equal,
     invariants,
     von_neumann_process,
 )
 from .stochrep import (
+    CanonicalForm,
     ChannelDensities,
+    InvariantComparison,
     NotFactorizable,
     QuantumStochasticRep,
     SRInvariants,
     StochasticRealization,
+    UnsupportedMeasure,
+    WeightMismatch,
     apply_transform,
+    canonicalize,
+    compare_invariants,
     equivalent,
+    extract_vq,
     factorize,
     from_channel_operators,
     from_realization,

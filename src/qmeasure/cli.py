@@ -568,58 +568,43 @@ def _theta_table(space: OutcomeSpace, theta: np.ndarray) -> dict:
 def _cmd_invariants(scenario: Scenario, options: dict) -> Report:
     tol = options.get("tol") or scenario.tol
     if scenario.kind == "realization":
-        inv = invariants(scenario.payload)
-        weight_sum = sum(a * k for a, k in inv.eigenvalue_profile)
-        nu_sums = inv.channel_nu.sum(axis=1)
-        mix = np.array([a * k for a, k in inv.eigenvalue_profile])
-        total_dev = float(np.max(np.abs(mix @ inv.channel_nu - inv.total_nu)))
-        checks = (
-            CheckResult("weights-normalized", abs(weight_sum - 1.0) <= tol, abs(weight_sum - 1.0)),
-            CheckResult(
-                "channel-measures-normalized",
-                bool(np.all(np.abs(nu_sums - 1.0) <= tol)),
-                float(np.max(np.abs(nu_sums - 1.0))),
-            ),
-            CheckResult("total-measure-consistency", total_dev <= tol, total_dev),
-        )
-        tables = {
-            "support": list(inv.support),
-            "multiplicity": dict(zip(inv.space.labels, inv.multiplicity)),
-            "eigenvalue_profile": [list(p) for p in inv.eigenvalue_profile],
-            "channel_nu": [dict(zip(inv.space.labels, row)) for row in inv.channel_nu],
-            "total_nu": dict(zip(inv.space.labels, inv.total_nu)),
-            "channel_theta": [_theta_table(inv.space, t) for t in inv.channel_theta],
-            "total_theta": _theta_table(inv.space, inv.total_theta),
-        }
-        return Report("invariants", checks, tables, _provenance(scenario))
-    if scenario.kind == "stochastic_realization":
+        rec = invariants(scenario.payload)
+    elif scenario.kind == "stochastic_realization":
         rec = sr_invariants(scenario.payload)
-        weight_sum = sum(b * k for b, k in rec.beta_profile)
-        dens_dev = rec.densities.integral_deviation()
-        nu_sums = rec.channel_nu.sum(axis=1)
-        checks = (
-            CheckResult("weights-normalized", abs(weight_sum - 1.0) <= tol, abs(weight_sum - 1.0)),
-            CheckResult(
-                "channel-measures-normalized",
-                bool(np.all(np.abs(nu_sums - 1.0) <= tol)),
-                float(np.max(np.abs(nu_sums - 1.0))),
-            ),
-            CheckResult("density-integral", dens_dev <= tol, dens_dev),
+    else:
+        raise IncompatiblePayload(
+            "invariants needs a realization or stochastic_realization payload"
         )
-        tables = {
-            "support": list(rec.support),
-            "multiplicity": dict(zip(rec.space.labels, rec.multiplicity)),
-            "beta_profile": [list(p) for p in rec.beta_profile],
-            "channel_nu": [dict(zip(rec.space.labels, row)) for row in rec.channel_nu],
-            "total_nu": dict(zip(rec.space.labels, rec.total_nu)),
-            "channel_theta": [_theta_table(rec.space, t) for t in rec.channel_theta],
-            "total_theta": _theta_table(rec.space, rec.total_theta),
-            "channel_densities": rec.densities.channel,
-        }
-        return Report("invariants", checks, tables, _provenance(scenario))
-    raise IncompatiblePayload(
-        "invariants needs a realization or stochastic_realization payload"
-    )
+    weight_sum = sum(b * k for b, k in rec.beta_profile)
+    nu_sums = rec.channel_nu.sum(axis=1)
+    checks = [
+        CheckResult("weights-normalized", abs(weight_sum - 1.0) <= tol, abs(weight_sum - 1.0)),
+        CheckResult(
+            "channel-measures-normalized",
+            bool(np.all(np.abs(nu_sums - 1.0) <= tol)),
+            float(np.max(np.abs(nu_sums - 1.0))),
+        ),
+    ]
+    tables = {
+        "support": list(rec.support),
+        "multiplicity": dict(zip(rec.space.labels, rec.multiplicity)),
+        "channel_nu": [dict(zip(rec.space.labels, row)) for row in rec.channel_nu],
+        "total_nu": dict(zip(rec.space.labels, rec.total_nu)),
+        "channel_theta": [_theta_table(rec.space, t) for t in rec.channel_theta],
+        "total_theta": _theta_table(rec.space, rec.total_theta),
+    }
+    profile = [list(p) for p in rec.beta_profile]
+    if scenario.kind == "realization":
+        mix = np.array([b * k for b, k in rec.beta_profile])
+        total_dev = float(np.max(np.abs(mix @ rec.channel_nu - rec.total_nu)))
+        checks.append(CheckResult("total-measure-consistency", total_dev <= tol, total_dev))
+        tables["eigenvalue_profile"] = profile
+    else:
+        dens_dev = rec.densities.integral_deviation()
+        checks.append(CheckResult("density-integral", dens_dev <= tol, dens_dev))
+        tables["beta_profile"] = profile
+        tables["channel_densities"] = rec.densities.channel
+    return Report("invariants", tuple(checks), tables, _provenance(scenario))
 
 
 def _cmd_extract_qsr(scenario: Scenario, options: dict) -> Report:
@@ -721,7 +706,7 @@ def _cmd_von_neumann(scenario: Scenario, options: dict) -> Report:
     )
     tables = {
         "total_nu": dict(zip(inv.space.labels, inv.total_nu)),
-        "eigenvalue_profile": [list(p) for p in inv.eigenvalue_profile],
+        "eigenvalue_profile": [list(p) for p in inv.beta_profile],
         "ancilla_dim": g.dim_k,
     }
     return Report("von-neumann", checks, tables, _provenance(scenario))

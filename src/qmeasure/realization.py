@@ -6,33 +6,24 @@ unitary U on system (x) ancilla.  The induced instrument at atom ``w`` maps
 an observable A to the partial expectation of ``U^dag (A (x) P({w})) U``
 over S.
 
-The module also computes the quantities that label a realization up to
-unitary equivalence of the ancilla side: the per-channel probability
-measures, the per-channel operator measures, the ancilla spectrum and the
-PVM multiplicity profile.  Channels here means the eigenvalue clusters of
-the ancilla state; a maximally mixed qubit ancilla is one channel of
-weight 0.5 and multiplicity 2, not two channels.
-
-Block bases
------------
-Per-atom orthonormal bases of range P({w}) are chosen by Gram-Schmidt over
-the projected standard basis, scanned in index order, with each vector
-phase-fixed so its largest-magnitude component is real positive.  The rule
-depends only on the projection, so canonical forms are reproducible across
-runs and platforms.
+This module holds the ancilla side: the realization type, dilation of an
+instrument, von Neumann and indirect measuring processes, and unitary
+equivalence of the ancilla.  Everything read off a realization once the
+ancilla is integrated out (canonical form, the scalar and operator tables,
+the induced instrument and the invariants that label a realization up to
+unitary equivalence) goes through the stochastic tables of
+:mod:`qmeasure.stochrep`, which does not import this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .qcore import (
-    CLUSTER_TOL,
     DEFAULT_TOL,
-    ZERO_PROBABILITY,
     DensityOperator,
     DimensionMismatch,
     FiniteMeasure,
@@ -42,42 +33,39 @@ from .qcore import (
     UnitaryOperator,
     _as_matrix,
     _as_vector,
-    _freeze,
-    align_global_phase,
     complete_to_unitary,
     dag,
     max_abs,
-    partial_expectation,
-    spectral_decompose,
     tensor_product,
 )
 from .instrument import KrausInstrument, NotAProjectionFamily, validate
+from .stochrep import (
+    SRInvariants,
+    WeightMismatch,
+    _gram_deviation,
+    _kraus_instrument,
+    _range_basis,
+    canonicalize,
+    compare_invariants,
+    extract_vq,
+    from_realization,
+    sr_invariants,
+)
 
 __all__ = [
-    "UnsupportedMeasure",
     "PointerOverlap",
     "DimensionTooSmall",
-    "WeightMismatch",
     "StatisticalRealization",
-    "CanonicalForm",
-    "VQFamily",
-    "InvariantSet",
-    "InvariantComparison",
     "canonicalize",
     "extract_vq",
     "instrument_of",
     "invariants",
     "compare_invariants",
-    "invariant_sets_equal",
     "apply_unitary_equivalence",
     "dilate",
     "von_neumann_process",
     "indirect_realization",
 ]
-
-
-class UnsupportedMeasure(ValueError):
-    """A base measure does not match the support of the PVM."""
 
 
 class PointerOverlap(ValueError):
@@ -86,10 +74,6 @@ class PointerOverlap(ValueError):
 
 class DimensionTooSmall(ValueError):
     """The ancilla space cannot hold the requested pointer family."""
-
-
-class WeightMismatch(ValueError):
-    """Channel weights are inconsistent or do not sum to one."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,261 +110,6 @@ class StatisticalRealization:
         return self.p.space
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalForm:
-    """Base measure, multiplicity profile and block bases of a PVM.
-
-    ``block_bases[a]`` holds the orthonormal vectors spanning range
-    P({atom a}) as columns; null atoms get a zero-column matrix.  ``r``
-    rotates the ancilla so each P({w}) becomes a coordinate projection,
-    blocks ordered by atom order.
-    """
-
-    space: OutcomeSpace
-    nu: FiniteMeasure
-    multiplicity: tuple[int, ...]
-    block_bases: tuple[np.ndarray, ...]
-    r: UnitaryOperator
-
-    def __post_init__(self):
-        if len(self.multiplicity) != self.space.size or len(self.block_bases) != self.space.size:
-            raise DimensionMismatch("per-atom tables must match the outcome space")
-        object.__setattr__(
-            self, "block_bases", tuple(_freeze(np.array(b, dtype=complex)) for b in self.block_bases)
-        )
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(
-            lab for lab, n in zip(self.space.labels, self.multiplicity) if n > 0
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class VQFamily:
-    """Operator and scalar tables extracted from a realization.
-
-    Axes are (channel, channel multiplicity, block multiplicity, atom), with
-    operators carrying two extra system axes.  Entries with ``k`` beyond the
-    channel's multiplicity or ``n`` beyond the atom's block size are zero
-    padding.  Tables are normalized against ``nu`` so that the weighted sums
-
-        sum_{w,n} V[j,p,n,w]^dag V[i,k,n,w] nu(w) = delta_ji delta_pk I
-        sum_{w,n} conj(q[j,p,n,w]) q[i,k,n,w] nu(w) = delta_ji delta_pk
-
-    hold whenever the source unitary is exact.
-    """
-
-    space: OutcomeSpace
-    nu: FiniteMeasure
-    multiplicity: tuple[int, ...]
-    alphas: tuple[float, ...]
-    ks: tuple[int, ...]
-    v: np.ndarray  # (C, k_max, n_max, M, d_s, d_s)
-    q: np.ndarray  # (C, k_max, n_max, M)
-
-    def __post_init__(self):
-        v = np.array(self.v, dtype=complex)
-        q = np.array(self.q, dtype=complex)
-        if v.ndim != 6 or q.ndim != 4 or v.shape[:4] != q.shape:
-            raise DimensionMismatch(f"table shapes disagree: {v.shape} vs {q.shape}")
-        object.__setattr__(self, "v", _freeze(v))
-        object.__setattr__(self, "q", _freeze(q))
-
-    @property
-    def channel_count(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def dim_s(self) -> int:
-        return self.v.shape[-1]
-
-    def _index_pairs(self) -> list[tuple[int, int]]:
-        return [(i, k) for i, ki in enumerate(self.ks) for k in range(ki)]
-
-    def orthonormality_deviation(self) -> float:
-        """Worst violation of the weighted operator orthonormality relation."""
-        w = self.nu.as_array()
-        pairs = self._index_pairs()
-        eye = np.eye(self.dim_s)
-        dev = 0.0
-        for j, p in pairs:
-            for i, k in pairs:
-                g = np.einsum(
-                    "nwab,nwac,w->bc",
-                    self.v[j, p].conj(),
-                    self.v[i, k],
-                    w,
-                )
-                target = eye if (j, p) == (i, k) else 0.0
-                dev = max(dev, max_abs(g - target))
-        return dev
-
-    def scalar_orthonormality_deviation(self) -> float:
-        """Worst violation of the weighted scalar orthonormality relation."""
-        w = self.nu.as_array()
-        pairs = self._index_pairs()
-        dev = 0.0
-        for j, p in pairs:
-            for i, k in pairs:
-                g = np.einsum("nw,nw,w->", self.q[j, p].conj(), self.q[i, k], w)
-                target = 1.0 if (j, p) == (i, k) else 0.0
-                dev = max(dev, abs(g - target))
-        return dev
-
-
-@dataclass(frozen=True, eq=False)
-class InvariantSet:
-    """Unitary-equivalence labels of a realization.
-
-    ``channel_nu[c]`` and ``channel_theta[c]`` are per-atom tables over the
-    full outcome space; off-support entries are zero.  The totals mix the
-    channels with weights alpha * multiplicity.
-    """
-
-    space: OutcomeSpace
-    dim_s: int
-    support: tuple[str, ...]
-    multiplicity: tuple[int, ...]
-    eigenvalue_profile: tuple[tuple[float, int], ...]
-    channel_nu: np.ndarray  # (C, M)
-    total_nu: np.ndarray  # (M,)
-    channel_theta: np.ndarray  # (C, M, d_s, d_s)
-    total_theta: np.ndarray  # (M, d_s, d_s)
-
-    def __post_init__(self):
-        for name in ("channel_nu", "total_nu", "channel_theta", "total_theta"):
-            object.__setattr__(self, name, _freeze(np.array(getattr(self, name))))
-
-    @property
-    def channel_count(self) -> int:
-        return len(self.eigenvalue_profile)
-
-
-# ---------------------------------------------------------------------------
-# Canonical form and table extraction
-# ---------------------------------------------------------------------------
-
-_SPAN_CUTOFF = 1e-6
-
-
-def _range_basis(p: np.ndarray, rank: int) -> np.ndarray:
-    """Deterministic orthonormal basis of range(p) for a projection p.
-
-    Gram-Schmidt over the projected standard basis in index order; each kept
-    vector is phase-fixed so its largest-magnitude component is real
-    positive.  Returns a d x rank column block.
-    """
-    d = p.shape[0]
-    cols: list[np.ndarray] = []
-    for j in range(d):
-        if len(cols) == rank:
-            break
-        v = p[:, j].copy()
-        for _ in range(2):
-            for u in cols:
-                v = v - u * np.vdot(u, v)
-        nrm = np.linalg.norm(v)
-        if nrm <= _SPAN_CUTOFF:
-            continue
-        v = v / nrm
-        top = int(np.argmax(np.abs(v)))
-        ph = v[top] / abs(v[top])
-        cols.append(v * ph.conjugate())
-    if len(cols) != rank:
-        raise ValueError(f"projection range basis incomplete: {len(cols)} of {rank}")
-    return np.column_stack(cols) if cols else np.zeros((d, 0), dtype=complex)
-
-
-def canonicalize(
-    g: StatisticalRealization, nu: FiniteMeasure | None = None
-) -> CanonicalForm:
-    """Block bases, multiplicity profile and base measure of g's PVM.
-
-    The default base measure puts weight 1 on every support atom.  A caller
-    supplied measure must be positive exactly on the support.
-
-    Raises
-    ------
-    UnsupportedMeasure
-        If ``nu`` vanishes on a support atom or charges a null atom.
-    """
-    pvm = g.p
-    ranks = pvm.ranks
-    if nu is None:
-        nu = FiniteMeasure(
-            pvm.space, tuple(1.0 if r > 0 else 0.0 for r in ranks)
-        )
-    else:
-        if nu.space != pvm.space:
-            raise DimensionMismatch("base measure lives on a different outcome space")
-        for lab, r, w in zip(pvm.space.labels, ranks, nu.weights):
-            if r > 0 and w <= 0:
-                raise UnsupportedMeasure(
-                    f"base measure vanishes on support atom {lab!r}"
-                )
-            if r == 0 and w > 0:
-                raise UnsupportedMeasure(f"base measure charges null atom {lab!r}")
-    bases = []
-    for lab, r in zip(pvm.space.labels, ranks):
-        if r > 0:
-            bases.append(_range_basis(pvm.block(lab), r))
-        else:
-            bases.append(np.zeros((pvm.dim, 0), dtype=complex))
-    rows = [b.conj().T for b in bases if b.shape[1] > 0]
-    r_mat = np.vstack(rows)
-    return CanonicalForm(pvm.space, nu, tuple(ranks), tuple(bases), UnitaryOperator(r_mat))
-
-
-def _ancilla_channels(
-    s: DensityOperator, cluster_tol: float = CLUSTER_TOL
-) -> list:
-    """Spectral clusters of the ancilla state with zero weights dropped."""
-    return [
-        c
-        for c in spectral_decompose(s.matrix, cluster_tol)
-        if c.value > ZERO_PROBABILITY
-    ]
-
-
-def extract_vq(g: StatisticalRealization, cf: CanonicalForm) -> VQFamily:
-    """Operator and scalar tables of the realization against a canonical form.
-
-    For channel i with eigenvector phi_ik and block vector e_n(w), the
-    operator entry is the system matrix with elements
-    ``<a (x) e_n(w)| U |b (x) phi_ik>`` divided by sqrt(nu(w)), and the
-    scalar entry is ``<e_n(w), phi_ik>`` divided by sqrt(nu(w)).  The
-    square-root weighting is what makes the nu-weighted orthonormality
-    relations hold for any admissible base measure; with the default
-    measure (weight 1 per atom) it is invisible.
-    """
-    ds, dk = g.dim_s, g.dim_k
-    channels = _ancilla_channels(g.s)
-    alphas = tuple(c.value for c in channels)
-    ks = tuple(c.multiplicity for c in channels)
-    c_count = len(channels)
-    k_max = max(ks) if ks else 0
-    n_max = max(cf.multiplicity) if cf.multiplicity else 0
-    m = cf.space.size
-    v = np.zeros((c_count, k_max, n_max, m, ds, ds), dtype=complex)
-    q = np.zeros((c_count, k_max, n_max, m), dtype=complex)
-    u4 = g.u.matrix.reshape(ds, dk, ds, dk)
-    w = cf.nu.as_array()
-    for ci, cluster in enumerate(channels):
-        phi = cluster.vectors  # dk x k_i
-        for a, (n_a, basis) in enumerate(zip(cf.multiplicity, cf.block_bases)):
-            if n_a == 0:
-                continue
-            root = np.sqrt(w[a])
-            # kk[k, n, :, :] = <e_n(w)| U |phi_k> as a system operator
-            kk = np.einsum("mn,ambl,lk->knab", basis.conj(), u4, phi)
-            v[ci, : cluster.multiplicity, :n_a, a] = kk / root
-            q[ci, : cluster.multiplicity, :n_a, a] = (
-                np.einsum("mn,mk->kn", basis.conj(), phi) / root
-            )
-    return VQFamily(cf.space, cf.nu, cf.multiplicity, alphas, ks, v, q)
-
-
 def instrument_of(
     g: StatisticalRealization, nu: FiniteMeasure | None = None
 ) -> KrausInstrument:
@@ -391,124 +120,20 @@ def instrument_of(
     their products reproduces the partial-expectation definition exactly, as
     the base-measure factors cancel.
     """
-    cf = canonicalize(g, nu)
-    vq = extract_vq(g, cf)
-    w = cf.nu.as_array()
-    table = []
-    for a in range(cf.space.size):
-        ops = []
-        n_a = cf.multiplicity[a]
-        if n_a > 0:
-            for ci, (alpha, ki) in enumerate(zip(vq.alphas, vq.ks)):
-                scale = np.sqrt(alpha * w[a])
-                for k in range(ki):
-                    for n in range(n_a):
-                        ops.append(scale * vq.v[ci, k, n, a])
-        table.append(tuple(ops))
-    return KrausInstrument(cf.space, tuple(table), g.dim_s)
+    return _kraus_instrument(extract_vq(g, canonicalize(g, nu)))
 
 
-def invariants(g: StatisticalRealization) -> InvariantSet:
+def invariants(g: StatisticalRealization) -> SRInvariants:
     """Channel measures, spectrum and multiplicity profile of a realization.
 
     The per-channel probability of atom w is the trace of the normalized
     channel projection against P({w}); the per-channel operator value is the
     partial expectation of (I (x) P({w})) U over the same normalized
-    projection.  Both are computed from the extracted tables; they do not
-    depend on the base measure used during extraction.
+    projection.  Both are read off the extracted tables, so the record is
+    ``sr_invariants(from_realization(g))`` and compares with
+    :func:`compare_invariants`.
     """
-    cf = canonicalize(g)
-    vq = extract_vq(g, cf)
-    w = cf.nu.as_array()
-    c = vq.channel_count
-    m = cf.space.size
-    ds = g.dim_s
-    ch_nu = np.zeros((c, m))
-    ch_theta = np.zeros((c, m, ds, ds), dtype=complex)
-    for ci, ki in enumerate(vq.ks):
-        ch_nu[ci] = np.einsum("knw,knw,w->w", vq.q[ci].conj(), vq.q[ci], w).real / ki
-        ch_theta[ci] = (
-            np.einsum("knwab,knw,w->wab", vq.v[ci], vq.q[ci].conj(), w) / ki
-        )
-    mix = np.array([a * k for a, k in zip(vq.alphas, vq.ks)])
-    total_nu = np.einsum("c,cw->w", mix, ch_nu)
-    total_theta = np.einsum("c,cwab->wab", mix, ch_theta)
-    profile = tuple((float(a), int(k)) for a, k in zip(vq.alphas, vq.ks))
-    return InvariantSet(
-        cf.space,
-        ds,
-        cf.support,
-        cf.multiplicity,
-        profile,
-        ch_nu,
-        total_nu,
-        ch_theta,
-        total_theta,
-    )
-
-
-@dataclass(frozen=True)
-class InvariantComparison:
-    """Outcome of comparing two invariant sets."""
-
-    support_equal: bool
-    multiplicity_equal: bool
-    profile_equal: bool
-    nu_deviation: float
-    theta_deviation: float
-    phase: complex
-
-    @property
-    def structure_equal(self) -> bool:
-        return self.support_equal and self.multiplicity_equal and self.profile_equal
-
-    def equal(self, tol: float) -> bool:
-        return (
-            self.structure_equal
-            and self.nu_deviation <= tol
-            and self.theta_deviation <= tol
-        )
-
-
-def compare_invariants(
-    a: InvariantSet, b: InvariantSet, cluster_tol: float = CLUSTER_TOL
-) -> InvariantComparison:
-    """Compare two invariant sets, aligning one global phase on the operator tables.
-
-    The phase freedom comes from the overall phase of the joint unitary: it
-    multiplies every operator-measure atom by the same unit complex number
-    while leaving everything else fixed, so the comparison quotients it out
-    before measuring deviations.
-    """
-    support_equal = set(a.support) == set(b.support) and a.space == b.space
-    multiplicity_equal = a.multiplicity == b.multiplicity
-    profile_equal = len(a.eigenvalue_profile) == len(b.eigenvalue_profile) and all(
-        ka == kb and abs(aa - ab) <= cluster_tol
-        for (aa, ka), (ab, kb) in zip(a.eigenvalue_profile, b.eigenvalue_profile)
-    )
-    if not (support_equal and multiplicity_equal and profile_equal and a.dim_s == b.dim_s):
-        return InvariantComparison(
-            support_equal, multiplicity_equal, profile_equal, np.inf, np.inf, 1.0
-        )
-    nu_dev = max(
-        max_abs(a.channel_nu - b.channel_nu), max_abs(a.total_nu - b.total_nu)
-    )
-    ref = [a.channel_theta, a.total_theta]
-    oth = [b.channel_theta, b.total_theta]
-    phase, theta_dev = align_global_phase(ref, oth)
-    return InvariantComparison(
-        support_equal, multiplicity_equal, profile_equal, float(nu_dev), theta_dev, phase
-    )
-
-
-def invariant_sets_equal(
-    a: InvariantSet,
-    b: InvariantSet,
-    tol: float = DEFAULT_TOL,
-    cluster_tol: float = CLUSTER_TOL,
-) -> bool:
-    """Whether two realizations carry the same invariants (phase quotiented)."""
-    return compare_invariants(a, b, cluster_tol).equal(tol)
+    return sr_invariants(from_realization(g))
 
 
 # ---------------------------------------------------------------------------
@@ -739,18 +364,13 @@ def indirect_realization(
         mask[:n_a, a] = 1.0
     q = q * mask
     v = v * mask[None, :, :, None, None]
-    scal = np.einsum("jnw,inw,w->ji", q.conj(), q, w)
-    if max_abs(scal - np.eye(c_count)) > tol:
-        raise NotOrthonormal(
-            f"scalar tables are not nu-orthonormal: deviation {max_abs(scal - np.eye(c_count)):.3e}"
-        )
+    dev = _gram_deviation(q[..., None, None], w)
+    if dev > tol:
+        raise NotOrthonormal(f"scalar tables are not nu-orthonormal: deviation {dev:.3e}")
     vq = v * q[:, :, :, None, None]
-    op = np.einsum("jnwab,inwac,w->jibc", vq.conj(), vq, w)
-    eye_blocks = np.einsum("ji,bc->jibc", np.eye(c_count), np.eye(ds))
-    if max_abs(op - eye_blocks) > tol:
-        raise NotOrthonormal(
-            f"operator tables are not orthonormal: deviation {max_abs(op - eye_blocks):.3e}"
-        )
+    dev = _gram_deviation(vq, w)
+    if dev > tol:
+        raise NotOrthonormal(f"operator tables are not orthonormal: deviation {dev:.3e}")
     dk = sum(mult)
     if dk < 1:
         raise DimensionMismatch("ancilla would be empty: all multiplicities are zero")

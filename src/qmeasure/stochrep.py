@@ -17,11 +17,27 @@ atom.  :func:`factorize` detects this, extracts the phase-normalized Pi
 family together with the channel densities, and verifies the result against
 the instrument; the failure case is returned as a value so callers can
 report which channel and atom obstructed the split.
+
+The tables of a system-ancilla measuring process (see
+:mod:`qmeasure.realization`) come out of :func:`extract_vq` against a
+:func:`canonicalize` form of its PVM.  Channels are the eigenvalue clusters
+of the ancilla state; a maximally mixed qubit ancilla is one channel of
+weight 0.5 and multiplicity 2, not two channels.  This module reads only
+the ancilla state, PVM and joint unitary of a realization and never imports
+the realization module.
+
+Block bases
+-----------
+Per-atom orthonormal bases of range P({w}) are chosen by Gram-Schmidt over
+the projected standard basis, scanned in index order, with each vector
+phase-fixed so its largest-magnitude component is real positive.  The rule
+depends only on the projection, so canonical forms are reproducible across
+runs and platforms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -36,29 +52,63 @@ from .qcore import (
     NotOrthonormal,
     NotUnitaryMatrix,
     OutcomeSpace,
+    UnitaryOperator,
     _freeze,
     align_global_phase,
     dag,
     max_abs,
+    spectral_decompose,
 )
 from .instrument import IncompatibleOutcomeSpaces, KrausInstrument, instruments_equal
-from .realization import StatisticalRealization, WeightMismatch, canonicalize, extract_vq
 
 __all__ = [
+    "UnsupportedMeasure",
+    "WeightMismatch",
+    "CanonicalForm",
     "StochasticRealization",
     "ChannelDensities",
     "SRInvariants",
+    "InvariantComparison",
     "QuantumStochasticRep",
     "NotFactorizable",
+    "canonicalize",
+    "extract_vq",
     "from_realization",
     "instrument_of_sr",
     "apply_transform",
     "sr_invariants",
+    "compare_invariants",
     "equivalent",
     "factorize",
     "qsr_instrument",
     "from_channel_operators",
 ]
+
+
+class UnsupportedMeasure(ValueError):
+    """A base measure does not match the support of the PVM."""
+
+
+class WeightMismatch(ValueError):
+    """Channel weights are inconsistent or do not sum to one."""
+
+
+def _gram_deviation(x: np.ndarray, wgt: np.ndarray) -> float:
+    """Worst entry of ``|G - I|`` for the weighted Gram matrix of table rows.
+
+    ``x`` has shape (P, n, M, d, d): P rows, each a d x d operator per block
+    index n and atom w.  The Gram matrix is
+
+        G[(j, b), (i, c)] = sum_{n, w, a} conj(x[j, n, w, a, b]) x[i, n, w, a, c] wgt[w]
+
+    so ``G = I`` is the weighted operator orthonormality of the rows; scalar
+    tables are the case d = 1.
+    """
+    rows, n, m, d, _ = x.shape
+    cols = x.transpose(1, 2, 3, 0, 4).reshape(n * m * d, rows * d)
+    weight = np.broadcast_to(wgt[None, :, None], (n, m, d)).reshape(-1, 1)
+    gram = (cols.conj() * weight).T @ cols
+    return max_abs(gram - np.eye(rows * d))
 
 
 def _masked_tables(q, w, beta, multiplicity):
@@ -128,6 +178,23 @@ class StochasticRealization:
         object.__setattr__(self, "q", _freeze(q))
         object.__setattr__(self, "w", _freeze(w))
 
+    @classmethod
+    def _trusted(
+        cls, space: OutcomeSpace, nu: FiniteMeasure, beta: tuple, multiplicity: tuple, q, w
+    ) -> "StochasticRealization":
+        """Tables from :func:`extract_vq`, already zero-padded.
+
+        The weights are the spectrum of an ancilla state whose trace was
+        checked at that state's own tolerance, so the fixed weight-sum guard
+        of the public constructor is not applied again.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(
+            space=space, nu=nu, beta=beta, multiplicity=multiplicity,
+            q=_freeze(q), w=_freeze(w),
+        )
+        return self
+
     @property
     def channel_count(self) -> int:
         return len(self.beta)
@@ -136,26 +203,20 @@ class StochasticRealization:
     def dim_s(self) -> int:
         return self.w.shape[-1]
 
-    def _index_pairs(self) -> list[tuple[int, int]]:
-        return [(i, k) for i, (_, ki) in enumerate(self.beta) for k in range(ki)]
-
     def orthonormality_deviations(self) -> tuple[float, float]:
-        """(scalar, operator) orthonormality violations of the tables."""
+        """(scalar, operator) orthonormality violations of the tables.
+
+        The rows are the (channel i, multiplicity index k < k_i) pairs; the
+        relations are ``sum_{w,n} conj(q[j,p,n,w]) q[i,k,n,w] nu(w) =
+        delta_ji delta_pk`` and the same with ``W^dag W`` and the identity.
+        """
+        ks = np.array([k for _, k in self.beta])
+        live = np.arange(self.q.shape[1]) < ks[:, None]
         wgt = self.nu.as_array()
-        pairs = self._index_pairs()
-        eye = np.eye(self.dim_s)
-        sdev = 0.0
-        odev = 0.0
-        for j, p in pairs:
-            for i, k in pairs:
-                target = 1.0 if (j, p) == (i, k) else 0.0
-                g = np.einsum("nw,nw,w->", self.q[j, p].conj(), self.q[i, k], wgt)
-                sdev = max(sdev, abs(g - target))
-                go = np.einsum(
-                    "nwab,nwac,w->bc", self.w[j, p].conj(), self.w[i, k], wgt
-                )
-                odev = max(odev, max_abs(go - target * eye))
-        return sdev, odev
+        return (
+            _gram_deviation(self.q[live][..., None, None], wgt),
+            _gram_deviation(self.w[live], wgt),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,37 +303,185 @@ class SRInvariants:
         return profile, nus, thetas
 
 
-def from_realization(g: StatisticalRealization) -> StochasticRealization:
-    """Forget the ancilla: keep the channel weights and the extracted tables."""
-    cf = canonicalize(g)
-    vq = extract_vq(g, cf)
-    beta = tuple((a, k) for a, k in zip(vq.alphas, vq.ks))
-    return StochasticRealization(
-        cf.space, cf.nu, beta, cf.multiplicity, vq.q, vq.v
-    )
+@dataclass(frozen=True)
+class InvariantComparison:
+    """Outcome of comparing two invariant records."""
 
+    support_equal: bool
+    multiplicity_equal: bool
+    profile_equal: bool
+    nu_deviation: float
+    theta_deviation: float
+    phase: complex
 
-def _check_orthonormal(sr: StochasticRealization, tol: float) -> None:
-    sdev, odev = sr.orthonormality_deviations()
-    if sdev > tol or odev > tol:
-        raise NotOrthonormal(
-            f"table orthonormality fails: scalar deviation {sdev:.3e}, "
-            f"operator deviation {odev:.3e} (tol {tol:g})"
+    @property
+    def structure_equal(self) -> bool:
+        return self.support_equal and self.multiplicity_equal and self.profile_equal
+
+    def equal(self, tol: float) -> bool:
+        return (
+            self.structure_equal
+            and self.nu_deviation <= tol
+            and self.theta_deviation <= tol
         )
 
 
-def instrument_of_sr(
-    sr: StochasticRealization, tol: float = DEFAULT_TOL
-) -> KrausInstrument:
-    """Instrument with Kraus operators sqrt(beta_i nu(w)) W[i,k,n](w).
+# ---------------------------------------------------------------------------
+# Canonical form and table extraction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CanonicalForm:
+    """Base measure, multiplicity profile and block bases of a PVM.
+
+    ``block_bases[a]`` holds the orthonormal vectors spanning range
+    P({atom a}) as columns; null atoms get a zero-column matrix.  ``r``
+    rotates the ancilla so each P({w}) becomes a coordinate projection,
+    blocks ordered by atom order.
+    """
+
+    space: OutcomeSpace
+    nu: FiniteMeasure
+    multiplicity: tuple[int, ...]
+    block_bases: tuple[np.ndarray, ...]
+    r: UnitaryOperator
+
+    def __post_init__(self):
+        if len(self.multiplicity) != self.space.size or len(self.block_bases) != self.space.size:
+            raise DimensionMismatch("per-atom tables must match the outcome space")
+        object.__setattr__(
+            self, "block_bases", tuple(_freeze(np.array(b, dtype=complex)) for b in self.block_bases)
+        )
+
+    @property
+    def support(self) -> tuple[str, ...]:
+        return tuple(
+            lab for lab, n in zip(self.space.labels, self.multiplicity) if n > 0
+        )
+
+
+_SPAN_CUTOFF = 1e-6
+
+
+def _range_basis(p: np.ndarray, rank: int) -> np.ndarray:
+    """Deterministic orthonormal basis of range(p) for a projection p.
+
+    Gram-Schmidt over the projected standard basis in index order; each kept
+    vector is phase-fixed so its largest-magnitude component is real
+    positive.  Returns a d x rank column block.
+    """
+    d = p.shape[0]
+    cols: list[np.ndarray] = []
+    for j in range(d):
+        if len(cols) == rank:
+            break
+        v = p[:, j].copy()
+        for _ in range(2):
+            for u in cols:
+                v = v - u * np.vdot(u, v)
+        nrm = np.linalg.norm(v)
+        if nrm <= _SPAN_CUTOFF:
+            continue
+        v = v / nrm
+        top = int(np.argmax(np.abs(v)))
+        ph = v[top] / abs(v[top])
+        cols.append(v * ph.conjugate())
+    if len(cols) != rank:
+        raise ValueError(f"projection range basis incomplete: {len(cols)} of {rank}")
+    return np.column_stack(cols) if cols else np.zeros((d, 0), dtype=complex)
+
+
+def canonicalize(g, nu: FiniteMeasure | None = None) -> CanonicalForm:
+    """Block bases, multiplicity profile and base measure of a realization's PVM.
+
+    ``g`` is a :class:`qmeasure.realization.StatisticalRealization`; only its
+    PVM ``g.p`` is read.  The default base measure puts weight 1 on every
+    support atom.  A caller supplied measure must be positive exactly on the
+    support.
 
     Raises
     ------
-    NotOrthonormal
-        If the q or W orthonormality relations fail beyond ``tol``
-        (completeness of the result would fail with them).
+    UnsupportedMeasure
+        If ``nu`` vanishes on a support atom or charges a null atom.
     """
-    _check_orthonormal(sr, tol)
+    pvm = g.p
+    ranks = pvm.ranks
+    if nu is None:
+        nu = FiniteMeasure(
+            pvm.space, tuple(1.0 if r > 0 else 0.0 for r in ranks)
+        )
+    else:
+        if nu.space != pvm.space:
+            raise DimensionMismatch("base measure lives on a different outcome space")
+        for lab, r, w in zip(pvm.space.labels, ranks, nu.weights):
+            if r > 0 and w <= 0:
+                raise UnsupportedMeasure(
+                    f"base measure vanishes on support atom {lab!r}"
+                )
+            if r == 0 and w > 0:
+                raise UnsupportedMeasure(f"base measure charges null atom {lab!r}")
+    bases = []
+    for lab, r in zip(pvm.space.labels, ranks):
+        if r > 0:
+            bases.append(_range_basis(pvm.block(lab), r))
+        else:
+            bases.append(np.zeros((pvm.dim, 0), dtype=complex))
+    rows = [b.conj().T for b in bases if b.shape[1] > 0]
+    r_mat = np.vstack(rows)
+    return CanonicalForm(pvm.space, nu, tuple(ranks), tuple(bases), UnitaryOperator(r_mat))
+
+
+def extract_vq(g, cf: CanonicalForm) -> StochasticRealization:
+    """Scalar and operator tables of a realization against a canonical form.
+
+    ``g`` is a :class:`qmeasure.realization.StatisticalRealization`.  The
+    channel weights are its ancilla spectrum with multiplicities.  For
+    channel i with eigenvector phi_ik and block vector e_n(w), the operator
+    entry is the system matrix with elements ``<a (x) e_n(w)| U |b (x)
+    phi_ik>`` divided by sqrt(nu(w)), and the scalar entry is ``<e_n(w),
+    phi_ik>`` divided by sqrt(nu(w)).  The square-root weighting is what
+    makes the nu-weighted orthonormality relations hold for any admissible
+    base measure; with the default measure (weight 1 per atom) it is
+    invisible.
+    """
+    ds, dk = g.dim_s, g.dim_k
+    channels = [c for c in spectral_decompose(g.s.matrix) if c.value > ZERO_PROBABILITY]
+    ks = tuple(c.multiplicity for c in channels)
+    k_max = max(ks) if ks else 0
+    n_max = max(cf.multiplicity) if cf.multiplicity else 0
+    m = cf.space.size
+    v = np.zeros((len(channels), k_max, n_max, m, ds, ds), dtype=complex)
+    q = np.zeros((len(channels), k_max, n_max, m), dtype=complex)
+    u4 = g.u.matrix.reshape(ds, dk, ds, dk)
+    w = cf.nu.as_array()
+    for ci, cluster in enumerate(channels):
+        phi = cluster.vectors  # dk x k_i
+        for a, (n_a, basis) in enumerate(zip(cf.multiplicity, cf.block_bases)):
+            if n_a == 0:
+                continue
+            root = np.sqrt(w[a])
+            # kk[k, n, :, :] = <e_n(w)| U |phi_k> as a system operator
+            kk = np.einsum("mn,ambl,lk->knab", basis.conj(), u4, phi)
+            v[ci, : cluster.multiplicity, :n_a, a] = kk / root
+            q[ci, : cluster.multiplicity, :n_a, a] = (
+                np.einsum("mn,mk->kn", basis.conj(), phi) / root
+            )
+    beta = tuple((c.value, c.multiplicity) for c in channels)
+    return StochasticRealization._trusted(cf.space, cf.nu, beta, cf.multiplicity, q, v)
+
+
+def from_realization(g) -> StochasticRealization:
+    """Forget the ancilla: keep the channel weights and the extracted tables.
+
+    ``g`` is a :class:`qmeasure.realization.StatisticalRealization`; the
+    tables are taken against its default canonical form.
+    """
+    return extract_vq(g, canonicalize(g))
+
+
+def _kraus_instrument(sr: StochasticRealization) -> KrausInstrument:
+    """Kraus operators sqrt(beta_i nu(w)) W[i,k,n](w) in (i, k, n) order, unchecked."""
     wgt = sr.nu.as_array()
     table = []
     for a in range(sr.space.size):
@@ -286,6 +495,26 @@ def instrument_of_sr(
                         ops.append(scale * sr.w[i, k, n, a])
         table.append(tuple(ops))
     return KrausInstrument(sr.space, tuple(table), sr.dim_s)
+
+
+def instrument_of_sr(
+    sr: StochasticRealization, tol: float = DEFAULT_TOL
+) -> KrausInstrument:
+    """Instrument with Kraus operators sqrt(beta_i nu(w)) W[i,k,n](w).
+
+    Raises
+    ------
+    NotOrthonormal
+        If the q or W orthonormality relations fail beyond ``tol``
+        (completeness of the result would fail with them).
+    """
+    sdev, odev = sr.orthonormality_deviations()
+    if sdev > tol or odev > tol:
+        raise NotOrthonormal(
+            f"table orthonormality fails: scalar deviation {sdev:.3e}, "
+            f"operator deviation {odev:.3e} (tol {tol:g})"
+        )
+    return _kraus_instrument(sr)
 
 
 def _as_unitary_stack(mats, sizes, what: str, tol: float) -> list[np.ndarray]:
@@ -423,6 +652,43 @@ def sr_invariants(sr: StochasticRealization) -> SRInvariants:
     )
 
 
+def compare_invariants(
+    a: SRInvariants, b: SRInvariants, cluster_tol: float = CLUSTER_TOL
+) -> InvariantComparison:
+    """Compare two invariant records, aligning one global phase on the operator tables.
+
+    Structure: the outcome space and support, the block multiplicities on
+    the support, and the weight profile as a multiset (channels
+    sorted by weight and equal weights merged, see
+    :meth:`SRInvariants.sorted_channels`).  Deviations: the per-channel and
+    total probability tables, and the per-channel and total operator tables
+    after quotienting out one global phase.  That phase comes from the
+    overall phase of the joint unitary: it multiplies every operator-measure
+    atom by the same unit complex number while leaving everything else
+    fixed.  A structure mismatch or a system-dimension mismatch gives
+    infinite deviations.
+    """
+    support_equal = a.space == b.space and set(a.support) == set(b.support)
+    on_support = [a.space.index(lab) for lab in a.support]
+    multiplicity_equal = support_equal and all(
+        a.multiplicity[i] == b.multiplicity[i] for i in on_support
+    )
+    pa, nu_a, th_a = a.sorted_channels(cluster_tol)
+    pb, nu_b, th_b = b.sorted_channels(cluster_tol)
+    profile_equal = len(pa) == len(pb) and all(
+        ka == kb and abs(ba - bb) <= cluster_tol for (ba, ka), (bb, kb) in zip(pa, pb)
+    )
+    if not (support_equal and multiplicity_equal and profile_equal and a.dim_s == b.dim_s):
+        return InvariantComparison(
+            support_equal, multiplicity_equal, profile_equal, np.inf, np.inf, 1.0
+        )
+    nu_dev = max(max_abs(nu_a - nu_b), max_abs(a.total_nu - b.total_nu))
+    phase, theta_dev = align_global_phase([th_a, a.total_theta], [th_b, b.total_theta])
+    return InvariantComparison(
+        support_equal, multiplicity_equal, profile_equal, float(nu_dev), theta_dev, phase
+    )
+
+
 def equivalent(
     sr1: StochasticRealization,
     sr2: StochasticRealization,
@@ -431,11 +697,9 @@ def equivalent(
 ) -> bool:
     """Whether the two realizations carry the same invariant record.
 
-    Compares outcome support, block multiplicities on the support, the
-    weight profile as a multiset, the per-channel probability tables and the
-    per-channel operator tables after aligning one global phase.  This is
-    the full implemented criterion; it is necessary for gauge equivalence
-    and exact on the transforms produced by :func:`apply_transform`.
+    The criterion is :func:`compare_invariants` on the two records at
+    ``tol``.  It is necessary for gauge equivalence and exact on the
+    transforms produced by :func:`apply_transform`.
 
     Raises
     ------
@@ -446,25 +710,7 @@ def equivalent(
         raise IncompatibleOutcomeSpaces(
             "realizations live on different outcome spaces or dimensions"
         )
-    r1 = sr_invariants(sr1)
-    r2 = sr_invariants(sr2)
-    if set(r1.support) != set(r2.support):
-        return False
-    for lab in r1.support:
-        a = sr1.space.index(lab)
-        if r1.multiplicity[a] != r2.multiplicity[a]:
-            return False
-    p1, nu1, th1 = r1.sorted_channels(cluster_tol)
-    p2, nu2, th2 = r2.sorted_channels(cluster_tol)
-    if len(p1) != len(p2):
-        return False
-    for (b1, k1), (b2, k2) in zip(p1, p2):
-        if k1 != k2 or abs(b1 - b2) > cluster_tol:
-            return False
-    if max_abs(nu1 - nu2) > tol:
-        return False
-    _, dev = align_global_phase([th1, r1.total_theta], [th2, r2.total_theta])
-    return dev <= tol
+    return compare_invariants(sr_invariants(sr1), sr_invariants(sr2), cluster_tol).equal(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +935,7 @@ def from_channel_operators(
             f"expected f (C, atoms) and pi (C, atoms, d, d); got {f.shape} and {pi.shape}"
         )
     wgt = nu.as_array()
-    overlap = np.einsum("jw,iw,w->ji", f.conj(), f, wgt)
-    if max_abs(overlap - np.eye(c_count)) > tol:
+    if _gram_deviation(f[:, None, :, None, None], wgt) > tol:
         raise NotOrthonormal(
             "profiles must be nu-orthonormal with disjoint supports across channels"
         )

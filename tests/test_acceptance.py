@@ -15,17 +15,15 @@ from qmeasure import (
     align_global_phase,
     apply_transform,
     apply_unitary_equivalence,
-    canonicalize,
+    compare_invariants,
     dilate,
     equivalent,
-    extract_vq,
     factorize,
     from_channel_operators,
     from_realization,
     instrument_of,
     instrument_of_sr,
     instruments_equal,
-    invariant_sets_equal,
     invariants,
     outcome_distribution,
     output_law,
@@ -150,9 +148,9 @@ def test_criterion_3_extracted_orthonormality():
     worst_sc = 0.0
     for _, g_min, g_inv in dilated_corpus():
         for g in (g_min, g_inv):
-            fam = extract_vq(g, canonicalize(g))
-            worst_op = max(worst_op, fam.orthonormality_deviation())
-            worst_sc = max(worst_sc, fam.scalar_orthonormality_deviation())
+            scalar, operator = from_realization(g).orthonormality_deviations()
+            worst_op = max(worst_op, operator)
+            worst_sc = max(worst_sc, scalar)
     conclude(
         3,
         "table orthonormality",
@@ -172,7 +170,7 @@ def test_criterion_4_unitary_invariance():
         w = rand_unitary(dim_k, rng)
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         g2 = apply_unitary_equivalence(g, w, phase)
-        if not invariant_sets_equal(invariants(g), invariants(g2), tol=1e-9):
+        if not compare_invariants(invariants(g), invariants(g2)).equal(1e-9):
             bad_invariants += 1
         if not instruments_equal(instrument_of(g), instrument_of(g2), tol=1e-9):
             bad_instruments += 1

@@ -19,10 +19,11 @@ from qmeasure import (
     compare_invariants,
     dilate,
     extract_vq,
+    from_realization,
     indirect_realization,
     instrument_of,
+    instrument_of_sr,
     instruments_equal,
-    invariant_sets_equal,
     invariants,
     partial_expectation,
     posterior_family,
@@ -166,9 +167,8 @@ class TestExtractVQ:
             UnitaryOperator(HADAMARD),
         )
         fam = extract_vq(g, canonicalize(g))
-        assert fam.alphas == (1.0,)
-        assert fam.ks == (1,)
-        np.testing.assert_allclose(fam.v[0, 0, 0, 0], HADAMARD, atol=1e-12)
+        assert fam.beta == ((1.0, 1),)
+        np.testing.assert_allclose(fam.w[0, 0, 0, 0], HADAMARD, atol=1e-12)
         assert fam.q[0, 0, 0, 0] == pytest.approx(1.0)
 
     def test_orthonormality_on_random_realizations(self):
@@ -176,8 +176,9 @@ class TestExtractVQ:
         for _ in range(10):
             g = rand_realization(rng, dim_s=2, dim_k=int(rng.integers(2, 5)))
             fam = extract_vq(g, canonicalize(g))
-            assert fam.orthonormality_deviation() <= 1e-9
-            assert fam.scalar_orthonormality_deviation() <= 1e-9
+            scalar, operator = fam.orthonormality_deviations()
+            assert operator <= 1e-9
+            assert scalar <= 1e-9
 
     def test_norm_bound_and_saturation(self):
         # per (i,k,n) the weighted image norms stay below the input norm;
@@ -187,12 +188,12 @@ class TestExtractVQ:
         fam = extract_vq(g, canonicalize(g))
         w = fam.nu.as_array()
         psi = rand_state(3, rng)
-        for i, ki in enumerate(fam.ks):
+        for i, (_, ki) in enumerate(fam.beta):
             for k in range(ki):
                 total = 0.0
-                for n in range(fam.v.shape[2]):
+                for n in range(fam.w.shape[2]):
                     part = sum(
-                        np.linalg.norm(fam.v[i, k, n, a] @ psi) ** 2 * w[a]
+                        np.linalg.norm(fam.w[i, k, n, a] @ psi) ** 2 * w[a]
                         for a in range(fam.space.size)
                     )
                     assert part <= 1.0 + 1e-9
@@ -209,7 +210,7 @@ class TestExtractVQ:
         g = dilate(fix_ad, "invariant")
         fam = extract_vq(g, canonicalize(g))
         # one block vector per Kraus operator; V entries are unit-scale copies
-        v00 = fam.v[0, 0, 0, 0]
+        v00 = fam.w[0, 0, 0, 0]
         ratio = v00[0, 0] / fix_ad.atom_ops("0")[0][0, 0]
         np.testing.assert_allclose(
             v00, ratio * fix_ad.atom_ops("0")[0], atol=1e-10
@@ -254,8 +255,8 @@ class TestInvariants:
         rng = np.random.default_rng(12)
         t = rand_instrument(rng, dim=2)
         inv = invariants(dilate(t, "invariant"))
-        assert len(inv.eigenvalue_profile) == 1
-        alpha, k = inv.eigenvalue_profile[0]
+        assert len(inv.beta_profile) == 1
+        alpha, k = inv.beta_profile[0]
         assert alpha == pytest.approx(1.0)
         assert k == 1
 
@@ -279,7 +280,7 @@ class TestInvariants:
             UnitaryOperator(rand_unitary(4, np.random.default_rng(13))),
         )
         inv = invariants(g)
-        assert inv.eigenvalue_profile == ((0.7, 1), (0.3, 1))
+        assert inv.beta_profile == ((0.7, 1), (0.3, 1))
         np.testing.assert_allclose(
             inv.total_nu, 0.7 * inv.channel_nu[0] + 0.3 * inv.channel_nu[1], atol=1e-12
         )
@@ -298,7 +299,7 @@ class TestInvariants:
         g = rand_realization(rng, dim_s=3, dim_k=4, n_atoms=3)
         inv = invariants(g)
         np.testing.assert_allclose(inv.channel_nu.sum(axis=1), 1.0, atol=1e-9)
-        weight = sum(a * k for a, k in inv.eigenvalue_profile)
+        weight = sum(a * k for a, k in inv.beta_profile)
         assert weight == pytest.approx(1.0, abs=1e-9)
 
 
@@ -313,7 +314,7 @@ class TestUnitaryEquivalence:
         rng = np.random.default_rng(17)
         g = rand_realization(rng, dim_s=2, dim_k=4, n_atoms=2)
         g2 = apply_unitary_equivalence(g, rand_unitary(4, rng), float(rng.uniform(0, 6)))
-        assert invariant_sets_equal(invariants(g), invariants(g2), 1e-9)
+        assert compare_invariants(invariants(g), invariants(g2)).equal(1e-9)
         assert instruments_equal(instrument_of(g), instrument_of(g2), 1e-9)
         assert maps_equal(instrument_of(g), instrument_of(g2))
 
@@ -448,10 +449,10 @@ class TestIndirectRealization:
         np.testing.assert_allclose(fam.q[0, 0, 0], q[0, 0], atol=1e-10)
         for a in range(2):
             np.testing.assert_allclose(
-                fam.v[0, 0, 0, a], v[0, 0, a] * q[0, 0, a], atol=1e-10
+                fam.w[0, 0, 0, a], v[0, 0, a] * q[0, 0, a], atol=1e-10
             )
             np.testing.assert_allclose(
-                fam.v[0, 0, 0, a] / fam.q[0, 0, 0, a], v[0, 0, a], atol=1e-10
+                fam.w[0, 0, 0, a] / fam.q[0, 0, 0, a], v[0, 0, a], atol=1e-10
             )
 
     def test_beta_becomes_the_ancilla_spectrum(self):
@@ -467,6 +468,36 @@ class TestIndirectRealization:
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvalsh(g.s.matrix))[::-1], [0.5, 0.5], atol=1e-10
         )
+
+    def test_weights_off_by_less_than_tol_reach_the_tables(self):
+        # the ancilla state accepts its trace at indirect_realization's tol, so
+        # every reader of the realization must accept the same weights
+        sp = OutcomeSpace(("a", "b"))
+        nu = FiniteMeasure.uniform(sp)
+        q = np.zeros((2, 1, 2), dtype=complex)
+        q[0, 0, 0] = 1.0
+        q[1, 0, 1] = 1.0
+        v = np.zeros((2, 1, 2, 2, 2), dtype=complex)
+        v[0, 0, 0] = np.eye(2)
+        v[1, 0, 1] = np.array([[0, 1], [1, 0]])
+        beta = (0.5 + 3e-7, 0.5)
+        g = indirect_realization(beta, q, v, sp, nu, tol=1e-6)
+        t = instrument_of(g)
+        inv = invariants(g)
+        sr = from_realization(g)
+        assert [len(ops) for ops in t.kraus] == [2, 2]
+        np.testing.assert_allclose(t.atom_ops("a")[0], np.sqrt(beta[0]) * v[0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(t.atom_ops("b")[1], np.sqrt(beta[1]) * v[1, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(t.atom_ops("a")[1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(t.atom_ops("b")[0], 0.0, atol=1e-12)
+        assert [k for _, k in inv.beta_profile] == [1, 1]
+        np.testing.assert_allclose([b for b, _ in inv.beta_profile], beta, atol=1e-12)
+        np.testing.assert_allclose(inv.channel_nu, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(inv.total_nu, beta, atol=1e-12)
+        np.testing.assert_allclose(inv.channel_theta[:, 0], [np.eye(2), np.zeros((2, 2))], atol=1e-12)
+        np.testing.assert_allclose(inv.channel_theta[:, 1], [np.zeros((2, 2)), v[1, 0, 1]], atol=1e-12)
+        assert sr.beta == inv.beta_profile
+        assert instruments_equal(instrument_of_sr(sr), t)
 
     def test_weight_errors(self):
         sp, nu, q, v = self._paulis_setup()

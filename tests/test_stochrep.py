@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmeasure import (
+    DensityOperator,
     DimensionMismatch,
     FiniteMeasure,
     IncompatibleOutcomeSpaces,
@@ -13,17 +14,26 @@ from qmeasure import (
     NotOrthonormal,
     NotUnitaryMatrix,
     OutcomeSpace,
+    ProjectionValuedMeasure,
+    StatisticalRealization,
+    StochasticRealization,
+    UnitaryOperator,
     WeightMismatch,
     align_global_phase,
     apply_transform,
+    apply_unitary_equivalence,
+    canonicalize,
+    compare_invariants,
     dilate,
     equivalent,
+    extract_vq,
     factorize,
     from_channel_operators,
     from_realization,
     instrument_of,
     instrument_of_sr,
     instruments_equal,
+    invariants,
     outcome_distribution,
     qsr_instrument,
     radon_nikodym,
@@ -36,6 +46,7 @@ from conftest import (
     P_PLUS,
     maps_equal,
     rand_instrument,
+    rand_realization,
     rand_unitary,
 )
 
@@ -55,6 +66,45 @@ def two_channel_sr(beta=(0.5, 0.5), u0=None, u1=None):
         [np.eye(2), u1 if u1 is not None else HADAMARD],
     ]
     return from_channel_operators(beta, pi, f, space, nu)
+
+
+def channel_reordered_pair():
+    """The two-channel fixture and the same data with the channels listed
+    in the opposite order."""
+    a = two_channel_sr(beta=(0.3, 0.7))
+    f = [[0.0, np.sqrt(2.0)], [np.sqrt(2.0), 0.0]]
+    pi = [[np.eye(2), HADAMARD], [np.eye(2), np.eye(2)]]
+    return a, from_channel_operators((0.7, 0.3), pi, f, a.space, a.nu)
+
+
+def pairwise_deviations(sr):
+    """Reference for StochasticRealization.orthonormality_deviations: one
+    weighted sum per pair of (channel, multiplicity index) rows."""
+    wgt = sr.nu.as_array()
+    pairs = [(i, k) for i, (_, ki) in enumerate(sr.beta) for k in range(ki)]
+    eye = np.eye(sr.dim_s)
+    sdev = 0.0
+    odev = 0.0
+    for j, p in pairs:
+        for i, k in pairs:
+            target = 1.0 if (j, p) == (i, k) else 0.0
+            g = np.einsum("nw,nw,w->", sr.q[j, p].conj(), sr.q[i, k], wgt)
+            sdev = max(sdev, abs(g - target))
+            go = np.einsum("nwab,nwac,w->bc", sr.w[j, p].conj(), sr.w[i, k], wgt)
+            odev = max(odev, np.max(np.abs(go - target * eye)))
+    return sdev, odev
+
+
+def degenerate_realization(rng):
+    """Ancilla spectrum (0.5, 0.25, 0.25), so one channel has multiplicity
+    2; PVM ranks (2, 1, 0), so atom "b" has fewer block indices than "a"
+    and atom "c" is null."""
+    space = OutcomeSpace(("a", "b", "c"))
+    basis = rand_unitary(3, rng)
+    blocks = (basis[:, :2] @ basis[:, :2].conj().T, np.outer(basis[:, 2], basis[:, 2].conj()), np.zeros((3, 3)))
+    s = DensityOperator(np.diag([0.25, 0.5, 0.25]).astype(complex))
+    u = UnitaryOperator(rand_unitary(6, rng))
+    return StatisticalRealization(2, s, ProjectionValuedMeasure(space, blocks), u)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +191,53 @@ class TestFromRealization:
         scalar, operator = dataclasses.replace(sr, w=w).orthonormality_deviations()
         assert scalar <= 1e-9  # q untouched
         assert operator > 1e-3
+
+
+class TestOrthonormalityDeviations:
+    """The weighted Gram matrix against the pairwise reference loop."""
+
+    @staticmethod
+    def random_tables(rng, beta, multiplicity, weights, dim_s=2):
+        space = OutcomeSpace(tuple(f"w{a}" for a in range(len(multiplicity))))
+        shape = (len(beta), max(k for _, k in beta), max(multiplicity), len(multiplicity))
+        q = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        w = rng.normal(size=shape + (dim_s, dim_s)) + 1j * rng.normal(size=shape + (dim_s, dim_s))
+        return StochasticRealization(space, FiniteMeasure(space, weights), beta, multiplicity, q, w)
+
+    def test_random_tables_match_reference(self, rng):
+        cases = [
+            # multiplicity-2 and -3 channels, atoms below n_max, a null atom,
+            # and a zero-weight atom that still has block indices
+            (((0.2, 2), (0.6, 1)), (3, 1, 0, 2), (0.5, 1.5, 0.0, 0.0)),
+            (((0.1, 3), (0.35, 2)), (1, 2), (2.0, 0.25)),
+            (((1.0, 1),), (2, 2, 1), (0.0, 1.0, 3.0)),
+        ]
+        for beta, mult, weights in cases:
+            for dim_s in (1, 3):
+                sr = self.random_tables(rng, beta, mult, weights, dim_s)
+                np.testing.assert_allclose(
+                    sr.orthonormality_deviations(), pairwise_deviations(sr), rtol=0, atol=1e-12
+                )
+
+    def test_extracted_tables_match_reference(self, rng):
+        for _ in range(3):
+            g = degenerate_realization(rng)
+            nu = FiniteMeasure(g.space, (0.3, 2.0, 0.0))
+            for sr in (from_realization(g), extract_vq(g, canonicalize(g, nu))):
+                assert [k for _, k in sr.beta] == [1, 2]
+                got = sr.orthonormality_deviations()
+                np.testing.assert_allclose(got, pairwise_deviations(sr), rtol=0, atol=1e-12)
+                assert max(got) <= 1e-9
+
+    def test_perturbed_entry_detected(self, rng):
+        sr = from_realization(degenerate_realization(rng))
+        w = np.array(sr.w)
+        w[1, 1, 0, 1, 0, 1] += 1e-3  # second multiplicity index, atom "b"
+        broken = dataclasses.replace(sr, w=w)
+        got = broken.orthonormality_deviations()
+        np.testing.assert_allclose(got, pairwise_deviations(broken), rtol=0, atol=1e-12)
+        assert got[0] <= 1e-9
+        assert got[1] > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +419,7 @@ class TestEquivalent:
         assert not equivalent(sr_of(ad), sr_of(vn))
 
     def test_channel_order_is_immaterial(self):
-        a = two_channel_sr(beta=(0.3, 0.7))
-        space = a.space
-        nu = a.nu
-        f = [[0.0, np.sqrt(2.0)], [np.sqrt(2.0), 0.0]]
-        pi = [[np.eye(2), HADAMARD], [np.eye(2), np.eye(2)]]
-        b = from_channel_operators((0.7, 0.3), pi, f, space, nu)
+        a, b = channel_reordered_pair()
         assert equivalent(a, b)
 
     def test_incompatible_spaces_raise(self, fix_z, fix_ad):
@@ -345,6 +437,53 @@ class TestEquivalent:
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
         assert not equivalent(two_channel_sr(), two_channel_sr(u1=rot @ HADAMARD))
+
+
+class TestComparisonsAgree:
+    """compare_invariants on realization records and equivalent on the
+    extracted tables give one answer."""
+
+    def test_realization_pairs(self, rng):
+        g = rand_realization(rng, dim_s=2, dim_k=3, n_atoms=2)
+        diag_p = ProjectionValuedMeasure(
+            OutcomeSpace(("w0", "w1")), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        )
+        u = UnitaryOperator(rand_unitary(4, rng))
+
+        def with_state(weights, unitary=u):
+            return StatisticalRealization(2, DensityOperator(np.diag(weights)), diag_p, unitary)
+
+        cases = [
+            (g, apply_unitary_equivalence(g, rand_unitary(3, rng), 0.9), True),
+            (with_state([0.7, 0.3]), with_state([0.6, 0.4]), False),
+            (with_state([0.7, 0.3]), with_state([0.7, 0.3], UnitaryOperator(rand_unitary(4, rng))), False),
+            (g, rand_realization(rng, dim_s=2, dim_k=4, n_atoms=2), False),
+        ]
+        for g1, g2, expected in cases:
+            via_records = compare_invariants(invariants(g1), invariants(g2)).equal(1e-9)
+            via_tables = equivalent(from_realization(g1), from_realization(g2), 1e-9)
+            assert via_records == via_tables == expected
+
+    def test_total_measure_is_compared(self):
+        # weights 1.2e-9 apart sit inside the cluster tolerance, and the
+        # Hadamard operators shrink the total operator-table change below
+        # tol; only the total probability table still differs by more
+        sp = OutcomeSpace(("a", "b"))
+        nu = FiniteMeasure(sp, (0.5, 0.5))
+        f = [[np.sqrt(2.0), 0.0], [0.0, np.sqrt(2.0)]]
+        pi = [[HADAMARD, np.eye(2)], [np.eye(2), HADAMARD]]
+        a = from_channel_operators((0.5, 0.5), pi, f, sp, nu)
+        b = from_channel_operators((0.5 + 1.2e-9, 0.5 - 1.2e-9), pi, f, sp, nu)
+        comp = compare_invariants(sr_invariants(a), sr_invariants(b))
+        assert comp.structure_equal and comp.theta_deviation <= 1e-9
+        assert comp.nu_deviation > 1e-9
+        assert not equivalent(a, b, 1e-9)
+
+    def test_channel_reordered_pair(self):
+        a, b = channel_reordered_pair()
+        comp = compare_invariants(sr_invariants(a), sr_invariants(b))
+        assert comp.equal(1e-9)
+        assert comp.nu_deviation <= 1e-12
 
 
 # ---------------------------------------------------------------------------
