@@ -44,7 +44,6 @@ from .instrument import (
     KrausInstrument,
     instruments_equal,
     outcome_distribution,
-    pov_measure,
     validate as validate_instrument,
     von_neumann_instrument,
 )

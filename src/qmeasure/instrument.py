@@ -255,13 +255,12 @@ def choi_matrix(ops: Sequence[np.ndarray], dim: int) -> np.ndarray:
     """Choi matrix of the CP map with the given Kraus operators.
 
     Uses row-major vectorization, so entry ((i,k),(j,l)) is
-    ``sum_m A_m[i,k] conj(A_m[j,l])``.  The zero map gives the zero matrix.
+    ``sum_m A_m[i,k] conj(A_m[j,l])``: with the flattened operators as the
+    rows of V, the matrix is ``V^T conj(V)``.  The zero map gives the zero
+    matrix.
     """
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a in ops:
-        v = np.asarray(a, dtype=complex).reshape(-1)
-        c += np.outer(v, v.conj())
-    return c
+    v = np.asarray(ops, dtype=complex).reshape(len(ops), dim * dim)
+    return v.T @ v.conj()
 
 
 @dataclass(frozen=True)

@@ -182,11 +182,13 @@ class StochasticRealization:
     def _trusted(
         cls, space: OutcomeSpace, nu: FiniteMeasure, beta: tuple, multiplicity: tuple, q, w
     ) -> "StochasticRealization":
-        """Tables from :func:`extract_vq`, already zero-padded.
+        """Tables from :func:`extract_vq` or :func:`apply_transform`, already zero-padded.
 
-        The weights are the spectrum of an ancilla state whose trace was
-        checked at that state's own tolerance, so the fixed weight-sum guard
-        of the public constructor is not applied again.
+        From extraction, the weights are the spectrum of an ancilla state
+        whose trace was checked at that state's own tolerance, so the fixed
+        weight-sum guard of the public constructor is not applied again.  A
+        gauge transform keeps the weights and multiplicities of a realization
+        that already exists and writes only the live index ranges.
         """
         self = object.__new__(cls)
         self.__dict__.update(
@@ -436,37 +438,44 @@ def extract_vq(g, cf: CanonicalForm) -> StochasticRealization:
     """Scalar and operator tables of a realization against a canonical form.
 
     ``g`` is a :class:`qmeasure.realization.StatisticalRealization`.  The
-    channel weights are its ancilla spectrum with multiplicities.  For
-    channel i with eigenvector phi_ik and block vector e_n(w), the operator
-    entry is the system matrix with elements ``<a (x) e_n(w)| U |b (x)
-    phi_ik>`` divided by sqrt(nu(w)), and the scalar entry is ``<e_n(w),
-    phi_ik>`` divided by sqrt(nu(w)).  The square-root weighting is what
-    makes the nu-weighted orthonormality relations hold for any admissible
-    base measure; with the default measure (weight 1 per atom) it is
-    invisible.
+    channel weights are its ancilla spectrum with multiplicities; clusters
+    at or below ``ZERO_PROBABILITY`` are dropped.  For channel i with
+    eigenvector phi_ik and block vector e_n(w), the operator entry is the
+    system matrix with elements ``<a (x) e_n(w)| U |b (x) phi_ik>`` divided
+    by sqrt(nu(w)), and the scalar entry is ``<e_n(w), phi_ik>`` divided by
+    sqrt(nu(w)).  The square-root weighting is what makes the nu-weighted
+    orthonormality relations hold for any admissible base measure; with the
+    default measure (weight 1 per atom) it is invisible.
+
+    Every entry is read from one rotated copy of U.  The block bases,
+    stacked in atom order, give the row rotation R (the rows of ``cf.r``);
+    the kept eigenvectors, stacked in channel order, give the columns Phi.
+    Two matrix contractions give ``T[a, N, b, K] = <a (x) e_N| U |b (x)
+    phi_K>`` for every block row N and eigenvector column K, and ``R @
+    Phi`` the scalar entries.  Each table is then one gather over the
+    (block index, atom) -> N and (channel, multiplicity index) -> K maps.
+    R gets one extra zero row and Phi one extra zero column, so padding
+    positions gather exact zeros.
     """
     ds, dk = g.dim_s, g.dim_k
     channels = [c for c in spectral_decompose(g.s.matrix) if c.value > ZERO_PROBABILITY]
-    ks = tuple(c.multiplicity for c in channels)
-    k_max = max(ks) if ks else 0
-    n_max = max(cf.multiplicity) if cf.multiplicity else 0
-    m = cf.space.size
-    v = np.zeros((len(channels), k_max, n_max, m, ds, ds), dtype=complex)
-    q = np.zeros((len(channels), k_max, n_max, m), dtype=complex)
-    u4 = g.u.matrix.reshape(ds, dk, ds, dk)
-    w = cf.nu.as_array()
-    for ci, cluster in enumerate(channels):
-        phi = cluster.vectors  # dk x k_i
-        for a, (n_a, basis) in enumerate(zip(cf.multiplicity, cf.block_bases)):
-            if n_a == 0:
-                continue
-            root = np.sqrt(w[a])
-            # kk[k, n, :, :] = <e_n(w)| U |phi_k> as a system operator
-            kk = np.einsum("mn,ambl,lk->knab", basis.conj(), u4, phi)
-            v[ci, : cluster.multiplicity, :n_a, a] = kk / root
-            q[ci, : cluster.multiplicity, :n_a, a] = (
-                np.einsum("mn,mk->kn", basis.conj(), phi) / root
-            )
+    ks = np.array([c.multiplicity for c in channels], dtype=int)
+    mult = np.array(cf.multiplicity, dtype=int)
+    r = np.vstack([np.hstack(cf.block_bases).conj().T, np.zeros((1, dk))])
+    phi = np.hstack([c.vectors for c in channels] + [np.zeros((dk, 1))])
+    zero_col = phi.shape[1] - 1
+    # U's rows are (a, m) and its columns (b, l): contract l with Phi, then m with R
+    t = r @ (g.u.matrix.reshape(-1, dk) @ phi).reshape(ds, dk, -1)
+    t = t.reshape(ds, dk + 1, ds, zero_col + 1)
+    s = r @ phi
+    n = np.arange(mult.max(initial=0))[:, None]
+    row_of = np.where(n < mult, np.cumsum(mult) - mult + n, dk)  # (n_max, M)
+    k = np.arange(ks.max(initial=0))
+    col_of = np.where(k < ks[:, None], (np.cumsum(ks) - ks)[:, None] + k, zero_col)  # (C, k_max)
+    row_of, col_of = row_of[None, None], col_of[:, :, None, None]
+    root = np.sqrt(np.where(mult > 0, cf.nu.as_array(), 1.0))
+    q = s[row_of, col_of] / root
+    v = t[:, row_of, :, col_of] / root[:, None, None]
     beta = tuple((c.value, c.multiplicity) for c in channels)
     return StochasticRealization._trusted(cf.space, cf.nu, beta, cf.multiplicity, q, v)
 
@@ -611,7 +620,7 @@ def apply_transform(
             w2[i, :ki, :n_a, a] = (ph * jac[a]) * np.einsum(
                 "kp,nm,pmab->knab", jw[i], zw[a], w_slice
             )
-    return StochasticRealization(sr.space, nu2, sr.beta, sr.multiplicity, q2, w2)
+    return StochasticRealization._trusted(sr.space, nu2, sr.beta, sr.multiplicity, q2, w2)
 
 
 def _channel_densities(sr: StochasticRealization) -> ChannelDensities:

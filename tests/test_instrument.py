@@ -218,7 +218,27 @@ class TestPosteriorFamily:
         assert fam.total_probability == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_choi(ops, dim):
+    """Reference for choi_matrix: one outer product per Kraus operator."""
+    c = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for a in ops:
+        v = np.asarray(a, dtype=complex).reshape(-1)
+        c += np.outer(v, v.conj())
+    return c
+
+
 class TestChoiMatrix:
+    @pytest.mark.parametrize("count, dim", [(0, 3), (1, 1), (1, 4), (5, 2), (1200, 3)])
+    def test_matches_outer_product_loop(self, count, dim):
+        rng = np.random.default_rng(100 + count)
+        scale = 1.0 / np.sqrt(max(count, 1))  # keeps the entries of order 1
+        # a tuple, as KrausInstrument stores each atom's operators
+        ops = tuple(scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) for _ in range(count))
+        c = choi_matrix(ops, dim)
+        assert c.shape == (dim * dim, dim * dim)
+        np.testing.assert_allclose(c, reference_choi(ops, dim), rtol=0, atol=1e-12)
+        assert count > 0 or not c.any()
+
     def test_entries_match_definition(self):
         rng = np.random.default_rng(8)
         ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]

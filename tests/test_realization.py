@@ -14,10 +14,12 @@ from qmeasure import (
     UnitaryOperator,
     UnsupportedMeasure,
     WeightMismatch,
+    apply_transform,
     apply_unitary_equivalence,
     canonicalize,
     compare_invariants,
     dilate,
+    equivalent,
     extract_vq,
     from_realization,
     indirect_realization,
@@ -498,6 +500,22 @@ class TestIndirectRealization:
         np.testing.assert_allclose(inv.channel_theta[:, 1], [np.zeros((2, 2)), v[1, 0, 1]], atol=1e-12)
         assert sr.beta == inv.beta_profile
         assert instruments_equal(instrument_of_sr(sr), t)
+
+    def test_weights_off_by_less_than_tol_survive_gauge_moves(self):
+        # a gauge move keeps the weights, so it must accept whatever
+        # extraction accepted
+        sp = OutcomeSpace(("a", "b"))
+        q = np.zeros((2, 1, 2), dtype=complex)
+        q[0, 0, 0] = 1.0
+        q[1, 0, 1] = 1.0
+        v = np.zeros((2, 1, 2, 2, 2), dtype=complex)
+        v[0, 0, 0] = np.eye(2)
+        v[1, 0, 1] = np.array([[0, 1], [1, 0]])
+        g = indirect_realization((0.5 + 3e-7, 0.5), q, v, sp, FiniteMeasure.uniform(sp), tol=1e-6)
+        sr = from_realization(g)
+        sr2 = apply_transform(sr, phase=0.3)
+        assert sr2.beta == sr.beta
+        assert equivalent(sr, sr2)
 
     def test_weight_errors(self):
         sp, nu, q, v = self._paulis_setup()

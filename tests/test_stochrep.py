@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmeasure import (
+    ZERO_PROBABILITY,
     DensityOperator,
     DimensionMismatch,
     FiniteMeasure,
@@ -37,6 +38,7 @@ from qmeasure import (
     outcome_distribution,
     qsr_instrument,
     radon_nikodym,
+    spectral_decompose,
     sr_invariants,
     von_neumann_instrument,
 )
@@ -93,6 +95,48 @@ def pairwise_deviations(sr):
             go = np.einsum("nwab,nwac,w->bc", sr.w[j, p].conj(), sr.w[i, k], wgt)
             odev = max(odev, np.max(np.abs(go - target * eye)))
     return sdev, odev
+
+
+def reference_extract(g, cf):
+    """Reference for extract_vq: one contraction per (channel, atom).
+
+    Returns (beta, multiplicity, q, w) with the padded table layout of
+    StochasticRealization."""
+    ds, dk = g.dim_s, g.dim_k
+    channels = [c for c in spectral_decompose(g.s.matrix) if c.value > ZERO_PROBABILITY]
+    k_max = max(c.multiplicity for c in channels)
+    n_max = max(cf.multiplicity)
+    m = cf.space.size
+    v = np.zeros((len(channels), k_max, n_max, m, ds, ds), dtype=complex)
+    q = np.zeros((len(channels), k_max, n_max, m), dtype=complex)
+    u4 = g.u.matrix.reshape(ds, dk, ds, dk)
+    w = cf.nu.as_array()
+    for ci, cluster in enumerate(channels):
+        phi = cluster.vectors
+        for a, (n_a, basis) in enumerate(zip(cf.multiplicity, cf.block_bases)):
+            if n_a == 0:
+                continue
+            root = np.sqrt(w[a])
+            kk = np.einsum("mn,ambl,lk->knab", basis.conj(), u4, phi)
+            v[ci, : cluster.multiplicity, :n_a, a] = kk / root
+            q[ci, : cluster.multiplicity, :n_a, a] = np.einsum("mn,mk->kn", basis.conj(), phi) / root
+    beta = tuple((c.value, c.multiplicity) for c in channels)
+    return beta, cf.multiplicity, q, v
+
+
+def realization_with(rng, spectrum, ranks, dim_s=2):
+    """Random realization with the given ancilla spectrum (repeats make
+    degenerate channels, zeros a rank-deficient state) and PVM ranks (zeros
+    make null atoms)."""
+    dk = len(spectrum)
+    space = OutcomeSpace(tuple(f"w{a}" for a in range(len(ranks))))
+    vecs = rand_unitary(dk, rng)
+    s = DensityOperator((vecs * np.array(spectrum, dtype=float)) @ vecs.conj().T)
+    basis = rand_unitary(dk, rng)
+    edges = np.concatenate(([0], np.cumsum(ranks)))
+    blocks = tuple(basis[:, lo:hi] @ basis[:, lo:hi].conj().T for lo, hi in zip(edges[:-1], edges[1:]))
+    u = UnitaryOperator(rand_unitary(dim_s * dk, rng))
+    return StatisticalRealization(dim_s, s, ProjectionValuedMeasure(space, blocks), u)
 
 
 def degenerate_realization(rng):
@@ -238,6 +282,76 @@ class TestOrthonormalityDeviations:
         np.testing.assert_allclose(got, pairwise_deviations(broken), rtol=0, atol=1e-12)
         assert got[0] <= 1e-9
         assert got[1] > 1e-4
+
+
+class TestExtractionMatchesReference:
+    """The single rotation of U against the per-(channel, atom) loop."""
+
+    @staticmethod
+    def assert_matches(sr, g, cf):
+        beta, mult, q, w = reference_extract(g, cf)
+        assert [k for _, k in sr.beta] == [k for _, k in beta]
+        np.testing.assert_allclose([b for b, _ in sr.beta], [b for b, _ in beta], rtol=0, atol=1e-12)
+        assert sr.multiplicity == mult
+        assert sr.q.shape == q.shape and sr.w.shape == w.shape
+        np.testing.assert_allclose(sr.q, q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sr.w, w, rtol=0, atol=1e-12)
+
+    def check(self, g, nu=None):
+        cf = canonicalize(g, nu)
+        sr = extract_vq(g, cf)
+        self.assert_matches(sr, g, cf)
+        return sr
+
+    def test_degenerate_ancilla_null_atom_uneven_blocks(self, rng):
+        # channels of multiplicity 3, 2 and 1; ranks (3, 2, 0, 1)
+        for dim_s in (1, 2):
+            sr = self.check(realization_with(rng, (0.1, 0.1, 0.1, 0.2, 0.2, 0.3), (3, 2, 0, 1), dim_s))
+            assert sorted(k for _, k in sr.beta) == [1, 2, 3]
+            assert not sr.q[:, :, :, 2].any() and not sr.w[:, :, :, 2].any()
+            assert not sr.w[:, :, 2:, 1].any()  # atom w1 has two block indices of three
+
+    def test_rank_deficient_ancilla_drops_zero_weights(self, rng):
+        g = realization_with(rng, (0.5, 0.25, 0.25, 0.0, 0.0), (1, 2, 2))
+        sr = self.check(g)
+        assert [k for _, k in sr.beta] == [1, 2]
+
+    def test_dim_s_one(self, rng):
+        for _ in range(3):
+            spectrum = rng.uniform(0.1, 1.0, 4)
+            self.check(realization_with(rng, spectrum / spectrum.sum(), (2, 1, 1), dim_s=1))
+
+    def test_non_uniform_base_measure(self, rng):
+        g = realization_with(rng, (0.1, 0.1, 0.1, 0.2, 0.2, 0.3), (3, 2, 0, 1))
+        nu = FiniteMeasure(g.space, (0.3, 2.0, 0.0, 1.5))
+        self.check(g, nu)
+        beta, _, _, w = reference_extract(g, canonicalize(g, nu))
+        t = instrument_of(g, nu)
+        wgt = nu.as_array()
+        for a, ops in enumerate(t.kraus):
+            want = [
+                np.sqrt(b * wgt[a]) * w[i, k, n, a]
+                for i, (b, ki) in enumerate(beta)
+                for k in range(ki)
+                for n in range(g.p.ranks[a])
+            ]
+            assert len(ops) == len(want)
+            np.testing.assert_allclose(np.array(ops).reshape(-1), np.array(want).reshape(-1), rtol=0, atol=1e-12)
+
+    def test_dilation_shapes(self, rng):
+        # one channel; rank-1 atoms when every atom has one Kraus operator
+        for max_kraus in (1, 1, 2, 2):
+            t = rand_instrument(rng, dim=int(rng.integers(1, 4)), max_kraus=max_kraus)
+            for mode in ("minimal", "invariant"):
+                g = dilate(t, mode=mode)
+                sr = from_realization(g)
+                assert [k for _, k in sr.beta] == [1]
+                assert max_kraus > 1 or set(sr.multiplicity) == {1}
+                self.assert_matches(sr, g, canonicalize(g))
+
+    def test_random_realizations(self, rng):
+        for _ in range(5):
+            self.check(rand_realization(rng, dim_s=3, dim_k=int(rng.integers(2, 7)), n_atoms=2))
 
 
 # ---------------------------------------------------------------------------
